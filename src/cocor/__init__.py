@@ -16,8 +16,7 @@ from .encoder import (EncoderConfig, encode, encode_batch, init_encoder_params,
                       latent_deviation, load_checkpoint, momentum_update,
                       save_checkpoint)
 from .harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
-from .losses import (LossBreakdown, NegativeQueue, consistency_loss_abs,
-                     consistency_loss_softplus, contrastive_loss, cross_entropy,
-                     total_unsup_loss)
+from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
+                     contrastive_loss, cross_entropy)
 from .numcore import ParamSet, SgdState, grad_check, make_rng, sgd_step
-from .pmnn import ConstantPredictor, PmnnPredictor, init_pmnn_params, predict
+from .pmnn import ConstantPredictor, PmnnPredictor, init_pmnn_params

@@ -284,11 +284,8 @@ _DISPATCH = {
 # Public operations
 
 
-def apply_basic(t: BasicTransform, img: np.ndarray,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply one basic transform. Deterministic given (t, img); the rng slot
-    is part of the interface for stochastic pool members but the current 14
-    are all parameter-deterministic."""
+def apply_basic(t: BasicTransform, img: np.ndarray) -> np.ndarray:
+    """Apply one basic transform; deterministic given (t, img)."""
     img = validate_raster(img)
     return _clamp(_DISPATCH[t.id](img, t))
 
@@ -312,10 +309,9 @@ def composition_vector(aug: CompositeAugmentation) -> np.ndarray:
     return np.bincount(ids, minlength=POOL_SIZE).astype(np.int64)
 
 
-def apply_composite(aug: CompositeAugmentation, img: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def apply_composite(aug: CompositeAugmentation, img: np.ndarray) -> np.ndarray:
     """Apply the chain in list order."""
     out = validate_raster(img)
     for t in aug:
-        out = apply_basic(t, out, rng)
+        out = apply_basic(t, out)
     return out

@@ -108,31 +108,21 @@ class UnsupEval:
 
 @dataclass
 class StepInfo:
-    """Everything pmnn_step and the oracle need about one encoder update."""
+    """Everything pmnn_step and the oracle need about one encoder update:
+    the unsupervised loss terms at theta_before and at the updated encoder,
+    on the same batch, predictions and queue."""
 
     theta_before: ParamSet
     batch: StepBatch
     lr_used: float
-    lc: float
-    lcons: float
-    lu_before: float
-    lu_after: float
-    simi_before: float
-    simi_after: float
-    k_pooled: float
-    k_by_length: dict[int, float]
+    before: UnsupEval
+    after: UnsupEval
 
 
 @dataclass
 class BilevelScalars:
-    k_pooled: float
-    k_by_length: dict[int, float]
-    simi_before: float
-    simi_after: float
     ce_before: float
     ce_after: float
-    lu_before: float
-    lu_after: float
     coefficient: float
     scalar: float
     guard_triggered: bool
@@ -179,7 +169,7 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
         comp_rng = make_rng(state.master_seed, stream, step_tag, i, ROLE_COMPOSITE)
         length = int(comp_rng.choice(np.asarray(cfg.lengths)))
         comp = sample_composite(length, cfg.magnitude, comp_rng)
-        augmented.append(apply_composite(comp, imgs[i], comp_rng))
+        augmented.append(apply_composite(comp, imgs[i]))
         vs[i] = composition_vector(comp)
         lengths[i] = length
 
@@ -189,21 +179,7 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
                      v=vs, lengths=lengths)
 
 
-def _consistency(omega: np.ndarray, g_vals: np.ndarray, lengths: np.ndarray,
-                 variant: str):
-    """Returns (loss, d_omega over the full batch, k per length)."""
-    if variant == "abs":
-        loss, d_omega, _ = consistency_loss_abs(omega, g_vals)
-        k_by_length = {int(l): float(np.mean(omega[lengths == l] - g_vals[lengths == l]))
-                       for l in np.unique(lengths)}
-        return loss, d_omega, k_by_length
-    groups = {int(l): (omega[lengths == l], g_vals[lengths == l])
-              for l in np.unique(lengths)}
-    loss, d_by_len, _, k_by_length = consistency_loss_softplus(groups)
-    d_omega = np.zeros_like(omega)
-    for l, d in d_by_len.items():
-        d_omega[lengths == l] = d
-    return loss, d_omega, k_by_length
+_CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss_softplus}
 
 
 def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
@@ -212,21 +188,21 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
     """Full unsupervised loss (and optionally its encoder gradient) at theta,
     holding views, keys, queue, and predictor outputs fixed."""
     _, z_q, cache_q = encode_batch(enc_cfg, theta, batch.x_query)
-    lc, d_zq, _ = contrastive_loss(z_q, batch.z_keys, queue, cfg.tau)
+    lc, d_zq = contrastive_loss(z_q, batch.z_keys, queue, cfg.tau)
     _, z_raw, cache_r = encode_batch(enc_cfg, theta, batch.x_raw)
     _, z_aug, cache_a = encode_batch(enc_cfg, theta, batch.x_aug)
     omega = np.sum(z_raw * z_aug, axis=1)
     simi = float(np.mean(omega))
-    lcons, d_omega, k_by_length = _consistency(omega, g_vals, batch.lengths, cfg.variant)
-    lu = lc + cfg.consistency_weight * lcons
+    lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
+        omega, g_vals, batch.lengths)
+    lu = lc + lcons
     k_pooled = float(np.mean(omega - g_vals))
     zero_norms = cache_q.zero_norm_count + cache_r.zero_norm_count + cache_a.zero_norm_count
 
     grads = None
     if want_grad:
-        w_d_omega = cfg.consistency_weight * d_omega
-        d_zr = w_d_omega[:, None] * z_aug
-        d_za = w_d_omega[:, None] * z_raw
+        d_zr = d_omega[:, None] * z_aug
+        d_za = d_omega[:, None] * z_raw
         grads = encode_backward(enc_cfg, theta, cache_q, d_z=d_zq)
         grads = grads.add_scaled(encode_backward(enc_cfg, theta, cache_r, d_z=d_zr), 1.0)
         grads = grads.add_scaled(encode_backward(enc_cfg, theta, cache_a, d_z=d_za), 1.0)
@@ -290,6 +266,7 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     theta_before = state.theta_e.copy()
     lr_used = state.opt_e.current_lr()
     state.theta_e = sgd_step(state.theta_e, before.grads, state.opt_e)
+    before.grads = None  # applied; StepInfo keeps the measurements only
     state.theta_k = momentum_update(state.theta_k, state.theta_e, cfg.momentum_coef)
 
     after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
@@ -299,9 +276,7 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     state.step += 1
 
     return StepInfo(theta_before=theta_before, batch=batch, lr_used=lr_used,
-                    lc=before.lc, lcons=before.lcons, lu_before=before.lu,
-                    lu_after=after.lu, simi_before=before.simi, simi_after=after.simi,
-                    k_pooled=before.k_pooled, k_by_length=before.k_by_length)
+                    before=before, after=after)
 
 
 def probe_step(state: TrainState, x: np.ndarray, labels: np.ndarray) -> float:
@@ -328,8 +303,8 @@ def pmnn_step(state: TrainState, cfg: RunConfig, x_labeled: np.ndarray,
     ce_before, _ = probe_ce(state.enc_cfg, info.theta_before, state.probe, x_labeled, labels)
     ce_after, _ = probe_ce(state.enc_cfg, state.theta_e, state.probe, x_labeled, labels)
 
-    d_lu = info.lu_after - info.lu_before
-    coefficient = deviation_gap_coefficient(info.k_pooled)
+    d_lu = info.after.lu - info.before.lu
+    coefficient = deviation_gap_coefficient(info.before.k_pooled)
     guard = abs(d_lu) < DENOM_GUARD
     scalar = 0.0
     if guard:
@@ -338,15 +313,12 @@ def pmnn_step(state: TrainState, cfg: RunConfig, x_labeled: np.ndarray,
         # Minus sign: see module docstring; aligns the collapse with the
         # exact chain-rule hypergradient.
         scalar = -(coefficient * (ce_after - ce_before)
-                   * (info.simi_after - info.simi_before) / d_lu)
+                   * (info.after.simi - info.before.simi) / d_lu)
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
         state.theta_d = sgd_step(state.theta_d, grad_g.scale(scalar), state.opt_d)
 
-    return BilevelScalars(k_pooled=info.k_pooled, k_by_length=info.k_by_length,
-                          simi_before=info.simi_before, simi_after=info.simi_after,
-                          ce_before=ce_before, ce_after=ce_after,
-                          lu_before=info.lu_before, lu_after=info.lu_after,
-                          coefficient=coefficient, scalar=scalar, guard_triggered=guard)
+    return BilevelScalars(ce_before=ce_before, ce_after=ce_after, coefficient=coefficient,
+                          scalar=scalar, guard_triggered=guard)
 
 
 def hypergradient_oracle(state: TrainState, cfg: RunConfig, info: StepInfo,
@@ -362,7 +334,7 @@ def hypergradient_oracle(state: TrainState, cfg: RunConfig, info: StepInfo,
     _, grad_simi = simi_and_grad(state.enc_cfg, info.theta_before,
                                  info.batch.x_raw, info.batch.x_aug)
     inner = float(grad_ce.to_flat() @ grad_simi.to_flat())
-    scalar = info.lr_used * deviation_gap_coefficient(info.k_pooled) * inner
+    scalar = info.lr_used * deviation_gap_coefficient(info.before.k_pooled) * inner
     grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
     return grad_g.scale(scalar), scalar, grad_g
 
@@ -508,8 +480,9 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
 
             record = MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
-                l_contrast=info.lc, l_consist=info.lcons, l_u=info.lu_before, ce=ce,
-                k_by_length={str(k): v for k, v in info.k_by_length.items()},
+                l_contrast=info.before.lc, l_consist=info.before.lcons,
+                l_u=info.before.lu, ce=ce,
+                k_by_length={str(k): v for k, v in info.before.k_by_length.items()},
                 coefficient=coefficient, guard_count=state.guard_count,
                 probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0)
             metrics.append(record)
@@ -550,9 +523,7 @@ def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
     after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
                        cfg, want_grad=False)
     return StepInfo(theta_before=theta_start, batch=batch, lr_used=last_info.lr_used,
-                    lc=before.lc, lcons=before.lcons, lu_before=before.lu,
-                    lu_after=after.lu, simi_before=before.simi, simi_after=after.simi,
-                    k_pooled=before.k_pooled, k_by_length=before.k_by_length)
+                    before=before, after=after)
 
 
 def _mean_k(rows: list[MetricsRecord]) -> dict[str, float]:

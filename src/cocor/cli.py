@@ -119,9 +119,10 @@ def cmd_grad_check(args) -> int:
     results = run_gradient_suite(seed=args.seed)
     failed = False
     for name, err in results.items():
-        status = "ok" if err < GRAD_CHECK_TOL else "FAIL"
+        ok = err < GRAD_CHECK_TOL  # False for NaN
+        status = "ok" if ok else "FAIL"
         print(f"{name:32s} max rel err {err:.3e}  [{status}]")
-        failed = failed or err >= GRAD_CHECK_TOL
+        failed = failed or not ok
     return 2 if failed else 0
 
 

@@ -43,7 +43,6 @@ class RunConfig:
     variant: str = "softplus"
     lengths: tuple[int, ...] = (1,)
     magnitude: float = 0.5
-    consistency_weight: float = 1.0
     # optimization
     momentum_coef: float = 0.99
     eta_e: float = 0.03

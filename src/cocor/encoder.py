@@ -156,12 +156,11 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
 
 
 def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
-                     aug: augment.CompositeAugmentation,
-                     rng: np.random.Generator | None = None) -> float:
+                     aug: augment.CompositeAugmentation) -> float:
     """Cosine similarity between the embeddings of the raw image and its
     augmented view; in [-1, 1] since both are unit vectors."""
     _, z_raw = encode(cfg, params, img)
-    _, z_aug = encode(cfg, params, augment.apply_composite(aug, img, rng))
+    _, z_aug = encode(cfg, params, augment.apply_composite(aug, img))
     return float(np.dot(z_raw, z_aug))
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import pmnn
+from . import bilevel, pmnn
+from .config import VARIANTS, RunConfig
 from .encoder import EncoderConfig, encode_backward, encode_batch, init_encoder_params
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
@@ -38,63 +39,31 @@ def check_contrastive(seed: int = 0, tau: float = 0.2) -> float:
 
     def loss_fn(p: ParamSet) -> float:
         _, z, _ = encode_batch(TINY_ENC, p, x_query)
-        loss, _, _ = contrastive_loss(z, z_keys, queue, tau)
-        return loss
+        return contrastive_loss(z, z_keys, queue, tau)[0]
 
     _, z, cache = encode_batch(TINY_ENC, params, x_query)
-    _, d_z, _ = contrastive_loss(z, z_keys, queue, tau)
+    _, d_z = contrastive_loss(z, z_keys, queue, tau)
     analytic = encode_backward(TINY_ENC, params, cache, d_z=d_z)
     return grad_check(loss_fn, params, analytic)
 
 
-def _omega(p: ParamSet, x_raw, x_aug):
-    _, z_raw, cache_r = encode_batch(TINY_ENC, p, x_raw)
-    _, z_aug, cache_a = encode_batch(TINY_ENC, p, x_aug)
-    return np.sum(z_raw * z_aug, axis=1), z_raw, z_aug, cache_r, cache_a
+def _check_consistency(loss, seed: int) -> float:
+    """d_omega of one consistency loss against central differences in omega;
+    the encoder chain behind omega is covered by check_total_unsup."""
+    omega = make_rng(seed, 43).uniform(-0.9, 0.9, size=3)
+    g_vals = omega - np.array([0.3, -0.25, 0.2])  # gaps far from the |.| kink
+    lengths = np.array([1, 2, 1])
+    _, d_omega, _ = loss(omega, g_vals, lengths)
+    return grad_check(lambda p: loss(p["omega"], g_vals, lengths)[0],
+                      ParamSet({"omega": omega}), ParamSet({"omega": d_omega}))
 
 
 def check_consistency_abs(seed: int = 0) -> float:
-    _, params, _, x_raw, x_aug, _, _ = _tiny_setup(seed)
-    # offset targets keep |omega - g| away from the kink
-    omega0, _, _, _, _ = _omega(params, x_raw, x_aug)
-    g_vals = omega0 - np.array([0.3, -0.25, 0.2])
-
-    def loss_fn(p: ParamSet) -> float:
-        om, _, _, _, _ = _omega(p, x_raw, x_aug)
-        loss, _, _ = consistency_loss_abs(om, g_vals)
-        return loss
-
-    om, z_raw, z_aug, cache_r, cache_a = _omega(params, x_raw, x_aug)
-    _, d_omega, _ = consistency_loss_abs(om, g_vals)
-    analytic = encode_backward(TINY_ENC, params, cache_r, d_z=d_omega[:, None] * z_aug)
-    analytic = analytic.add_scaled(
-        encode_backward(TINY_ENC, params, cache_a, d_z=d_omega[:, None] * z_raw), 1.0)
-    return grad_check(loss_fn, params, analytic)
+    return _check_consistency(consistency_loss_abs, seed)
 
 
 def check_consistency_softplus(seed: int = 0) -> float:
-    _, params, _, x_raw, x_aug, _, _ = _tiny_setup(seed)
-    lengths = np.array([1, 2, 1])
-    g_vals = np.array([0.4, 0.1, 0.5])
-
-    def groups_of(om):
-        return {int(l): (om[lengths == l], g_vals[lengths == l])
-                for l in np.unique(lengths)}
-
-    def loss_fn(p: ParamSet) -> float:
-        om, _, _, _, _ = _omega(p, x_raw, x_aug)
-        loss, _, _, _ = consistency_loss_softplus(groups_of(om))
-        return loss
-
-    om, z_raw, z_aug, cache_r, cache_a = _omega(params, x_raw, x_aug)
-    _, d_by_len, _, _ = consistency_loss_softplus(groups_of(om))
-    d_omega = np.zeros_like(om)
-    for l, d in d_by_len.items():
-        d_omega[lengths == l] = d
-    analytic = encode_backward(TINY_ENC, params, cache_r, d_z=d_omega[:, None] * z_aug)
-    analytic = analytic.add_scaled(
-        encode_backward(TINY_ENC, params, cache_a, d_z=d_omega[:, None] * z_raw), 1.0)
-    return grad_check(loss_fn, params, analytic)
+    return _check_consistency(consistency_loss_softplus, seed)
 
 
 def check_cross_entropy_probe(seed: int = 0) -> float:
@@ -157,35 +126,26 @@ def check_pmnn_mean_output(seed: int = 0) -> float:
 
 
 def check_total_unsup(seed: int = 0, tau: float = 0.2) -> float:
+    """The training loss itself: ``bilevel.unsup_eval`` (contrastive plus
+    consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
-    lengths = np.array([1, 2, 1])
+    batch = bilevel.StepBatch(x_query=x_query, z_keys=z_keys, x_raw=x_raw, x_aug=x_aug,
+                              v=np.zeros((3, 14), dtype=np.int64),
+                              lengths=np.array([1, 2, 1]))
     g_vals = np.array([0.4, 0.1, 0.5])
 
-    def consistency(om):
-        groups = {int(l): (om[lengths == l], g_vals[lengths == l])
-                  for l in np.unique(lengths)}
-        return consistency_loss_softplus(groups)
+    def error(variant: str) -> float:
+        cfg = RunConfig(variant=variant, tau=tau)
 
-    def loss_fn(p: ParamSet) -> float:
-        _, z, _ = encode_batch(TINY_ENC, p, x_query)
-        lc, _, _ = contrastive_loss(z, z_keys, queue, tau)
-        om, _, _, _, _ = _omega(p, x_raw, x_aug)
-        lcons, _, _, _ = consistency(om)
-        return lc + lcons
+        def loss_fn(p: ParamSet) -> float:
+            return bilevel.unsup_eval(TINY_ENC, p, batch, g_vals, queue, cfg,
+                                      want_grad=False).lu
 
-    _, z, cache_q = encode_batch(TINY_ENC, params, x_query)
-    _, d_zq, _ = contrastive_loss(z, z_keys, queue, tau)
-    om, z_raw, z_aug, cache_r, cache_a = _omega(params, x_raw, x_aug)
-    _, d_by_len, _, _ = consistency(om)
-    d_omega = np.zeros_like(om)
-    for l, d in d_by_len.items():
-        d_omega[lengths == l] = d
-    analytic = encode_backward(TINY_ENC, params, cache_q, d_z=d_zq)
-    analytic = analytic.add_scaled(
-        encode_backward(TINY_ENC, params, cache_r, d_z=d_omega[:, None] * z_aug), 1.0)
-    analytic = analytic.add_scaled(
-        encode_backward(TINY_ENC, params, cache_a, d_z=d_omega[:, None] * z_raw), 1.0)
-    return grad_check(loss_fn, params, analytic)
+        analytic = bilevel.unsup_eval(TINY_ENC, params, batch, g_vals, queue, cfg,
+                                      want_grad=True).grads
+        return grad_check(loss_fn, params, analytic)
+
+    return float(np.max([error(v) for v in VARIANTS]))  # np.max keeps a NaN
 
 
 # Vetted instance seeds: chosen so no coordinate sits within the finite-

@@ -10,8 +10,6 @@ predicted ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .numcore import sigmoid, softplus
@@ -53,8 +51,8 @@ class NegativeQueue:
 
 
 def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
-                     tau: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean InfoNCE over the batch; returns (loss, d_z, d_z_pos).
+                     tau: float) -> tuple[float, np.ndarray]:
+    """Mean InfoNCE over the batch; returns (loss, d_z).
 
     Per sample: -log( e^{z.z+ / tau} / (e^{z.z+ / tau} + sum_j e^{z.q_j / tau}) ).
     Queue rows are treated as constants.
@@ -86,54 +84,52 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
     d_logits /= b
 
     d_z = (d_logits[:, :1] * z_pos + d_logits[:, 1:] @ negs) / tau
-    d_z_pos = d_logits[:, :1] * z / tau
-    return loss, d_z, d_z_pos
+    return loss, d_z
 
 
-def consistency_loss_abs(omega: np.ndarray,
-                         g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean |omega - g|; subgradient 0 at exact ties."""
+def _gaps(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
+          ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]]:
+    """omega - g, the mask of each configured length (ascending), and the
+    mean gap k_l of each length."""
     omega = np.asarray(omega, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if omega.shape != g.shape or omega.ndim != 1:
-        raise ValueError("omega and g must be equal-length vectors")
+    lengths = np.asarray(lengths)
+    if omega.ndim != 1 or omega.shape != g.shape or omega.shape != lengths.shape:
+        raise ValueError("omega, g and lengths must be equal-length vectors")
     if omega.size == 0:
         raise ValueError("empty batch")
     diff = omega - g
-    loss = float(np.mean(np.abs(diff)))
-    s = np.sign(diff) / omega.size
-    return loss, s, -s
+    masks = {int(l): lengths == l for l in np.unique(lengths)}
+    return diff, masks, {l: float(np.mean(diff[m])) for l, m in masks.items()}
 
 
-def consistency_loss_softplus(
-    groups: dict[int, tuple[np.ndarray, np.ndarray]],
-) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray], dict[int, float]]:
+def consistency_loss_abs(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
+                         ) -> tuple[float, np.ndarray, dict[int, float]]:
+    """Mean |omega - g|; subgradient 0 at exact ties.
+
+    Returns (loss, d_omega, mean gap k_l per length).
+    """
+    diff, _, k_by_length = _gaps(omega, g, lengths)
+    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size, k_by_length
+
+
+def consistency_loss_softplus(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
+                              ) -> tuple[float, np.ndarray, dict[int, float]]:
     """Per-length softplus of the group-mean gap.
 
     For each configured length l with samples (omega_i, g_i):
     k_l = mean(omega - g); loss = mean over lengths of softplus(k_l).
-    Returns (loss, d_omega per group, d_g per group, k_l per group); gradients
-    flow to both sides of the gap through the group mean.
+    Returns (loss, d_omega, k_l per length).
     """
-    if not groups:
-        raise ValueError("no length groups")
-    n_lengths = len(groups)
+    diff, masks, k_by_length = _gaps(omega, g, lengths)
+    n_lengths = len(masks)
     loss = 0.0
-    d_omega: dict[int, np.ndarray] = {}
-    d_g: dict[int, np.ndarray] = {}
-    k_by_length: dict[int, float] = {}
-    for length, (omega, g) in groups.items():
-        omega = np.asarray(omega, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if omega.size == 0 or omega.shape != g.shape:
-            raise ValueError(f"length-{length} group is empty or mismatched")
-        k = float(np.mean(omega - g))
-        k_by_length[length] = k
+    d_omega = np.zeros_like(diff)
+    for length, mask in masks.items():
+        k = k_by_length[length]
         loss += float(softplus(k)) / n_lengths
-        coeff = float(sigmoid(k)) / (n_lengths * omega.size)
-        d_omega[length] = np.full(omega.size, coeff)
-        d_g[length] = np.full(omega.size, -coeff)
-    return loss, d_omega, d_g, k_by_length
+        d_omega[mask] = float(sigmoid(k)) / (n_lengths * np.count_nonzero(mask))
+    return loss, d_omega, k_by_length
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -157,25 +153,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
     return loss, d_logits
-
-
-@dataclass
-class LossBreakdown:
-    """Per-batch loss terms; total is their (optionally weighted) sum."""
-
-    contrastive: float
-    consistency: float
-    total: float
-    k_by_length: dict[int, float] = field(default_factory=dict)
-    simi: float = 0.0
-
-
-def total_unsup_loss(contrastive: float, consistency: float,
-                     k_by_length: dict[int, float] | None = None,
-                     simi: float = 0.0,
-                     consistency_weight: float = 1.0) -> LossBreakdown:
-    """Unweighted sum by default; the weight knob exists for experiments and
-    stays at 1 everywhere that matters."""
-    total = contrastive + consistency_weight * consistency
-    return LossBreakdown(contrastive=contrastive, consistency=consistency,
-                         total=total, k_by_length=dict(k_by_length or {}), simi=simi)

@@ -76,10 +76,6 @@ def predict_batch(params: ParamSet, v_batch: np.ndarray) -> np.ndarray:
     return y
 
 
-def predict(params: ParamSet, v: np.ndarray) -> float:
-    return float(predict_batch(params, np.asarray(v))[0])
-
-
 def grad_wrt_params(params: ParamSet, v_batch: np.ndarray,
                     weights: np.ndarray | None = None) -> ParamSet:
     """Gradient of the weighted sum of predictions w.r.t. the raw parameters.

@@ -90,7 +90,7 @@ def test_criterion_3_loss_oracles():
     negs = rng.standard_normal((16, 6))
     queue.push(negs / np.linalg.norm(negs, axis=1, keepdims=True))
     tau = 0.2
-    loss, _, _ = contrastive_loss(z, z_pos, queue, tau)
+    loss, _ = contrastive_loss(z, z_pos, queue, tau)
     per_sample = []
     for i in range(4):
         logits = np.concatenate([[z[i] @ z_pos[i]], queue.as_matrix() @ z[i]]) / tau

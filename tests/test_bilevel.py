@@ -78,7 +78,7 @@ class TestEncoderStep:
         for lr in (1e-3, 1e-4):
             cfg, state, imgs, _, _ = tiny_instance(3, eta_e=lr)
             info = encoder_step(state, cfg, imgs, step_tag=0)
-            assert info.lu_after < info.lu_before, lr
+            assert info.after.lu < info.before.lu, lr
 
     def test_momentum_encoder_tracks_query(self):
         cfg, state, imgs, _, _ = tiny_instance(4)
@@ -101,10 +101,10 @@ class TestPmnnStep:
         # theta_before == current params -> CE' == CE exactly; fake a loss drop
         # so the denominator guard does not trigger.
         batch_info = encoder_step(state, cfg, imgs, step_tag=0)
-        info = StepInfo(theta_before=state.theta_e.copy(), batch=batch_info.batch,
-                        lr_used=0.03, lc=1.0, lcons=0.5, lu_before=1.5, lu_after=1.4,
-                        simi_before=0.3, simi_after=0.2, k_pooled=0.1,
-                        k_by_length={1: 0.1})
+        info = StepInfo(
+            theta_before=state.theta_e.copy(), batch=batch_info.batch, lr_used=0.03,
+            before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1),
+            after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
         theta_d_before = state.theta_d.copy()
         scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
         assert not scalars.guard_triggered
@@ -116,7 +116,8 @@ class TestPmnnStep:
     def test_guard_skips_update_and_counts(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(7)
         batch_info = encoder_step(state, cfg, imgs, step_tag=0)
-        info = dataclasses.replace(batch_info, lu_after=batch_info.lu_before + 1e-12)
+        info = dataclasses.replace(batch_info, after=dataclasses.replace(
+            batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
         scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
         assert scalars.guard_triggered
@@ -146,7 +147,8 @@ class TestPmnnStep:
             i = int(rng.integers(0, 14))
             bumped = v.copy()
             bumped[i] += 1
-            assert pmnn.predict(state.theta_d, bumped) <= pmnn.predict(state.theta_d, v) + 1e-12
+            assert (pmnn.predict_batch(state.theta_d, bumped)
+                    <= pmnn.predict_batch(state.theta_d, v) + 1e-12)
 
 
 class TestProbeStep:
@@ -338,8 +340,7 @@ class TestTrain:
         {"channels": 3},
         {"lengths": (1, 3)},
         {"lengths": (2,), "use_pmnn": False, "const_deviation": 0.7},
-        {"consistency_weight": 0.5},
-    ], ids=["abs", "abs-epoch", "rgb", "multi-length", "constant-arm", "weighted"])
+    ], ids=["abs", "abs-epoch", "rgb", "multi-length", "constant-arm"])
     def test_configuration_matrix_smoke(self, overrides):
         cfg = self._cfg(epochs=1, **overrides)
         ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width,

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from cocor import gradsuite
 from cocor.cli import main
 from cocor.config import RunConfig, load_config, resolved_text
 from cocor.data import load_idx
@@ -76,6 +77,12 @@ class TestOtherCommands:
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out
         assert "max rel err" in out and "FAIL" not in out
+
+    def test_grad_check_nan_error_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setitem(gradsuite._CHECKS, "cross_entropy_probe",
+                            lambda seed: float("nan"))
+        assert main(["grad-check"]) == 2
+        assert "nan  [FAIL]" in capsys.readouterr().out
 
     def test_make_data_then_eval_pipeline(self, tiny_config, tmp_path):
         data_out = str(tmp_path / "data")

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cocor.gradsuite import (check_consistency_abs, check_consistency_softplus,
-                             check_contrastive, check_cross_entropy_probe,
-                             check_total_unsup)
+from cocor import bilevel
+from cocor.cli import GRAD_CHECK_TOL
+from cocor.gradsuite import (SUITE_SEEDS, check_consistency_abs,
+                             check_consistency_softplus, check_contrastive,
+                             check_cross_entropy_probe, check_total_unsup)
 from cocor.losses import (NegativeQueue, consistency_loss_abs,
-                          consistency_loss_softplus, contrastive_loss, cross_entropy,
-                          total_unsup_loss)
+                          consistency_loss_softplus, contrastive_loss, cross_entropy)
 from cocor.numcore import make_rng
 
 
@@ -65,7 +66,7 @@ class TestContrastive:
         z_pos = np.array([[0.0, 1.0]])
         q = NegativeQueue(capacity=1, dim=2)
         q.push(np.array([[0.0, 1.0]]))  # same logit as the positive
-        loss, _, _ = contrastive_loss(z, z_pos, q, tau=0.2)
+        loss, _ = contrastive_loss(z, z_pos, q, tau=0.2)
         assert abs(loss - math.log(2.0)) < 1e-9
 
     def test_uniform_logits_4095_negatives(self):
@@ -73,7 +74,7 @@ class TestContrastive:
         z_pos = np.array([[0.0, 1.0]])
         q = NegativeQueue(capacity=4095, dim=2)
         q.push(np.tile(np.array([[0.0, 1.0]]), (4095, 1)))
-        loss, _, _ = contrastive_loss(z, z_pos, q, tau=0.2)
+        loss, _ = contrastive_loss(z, z_pos, q, tau=0.2)
         assert abs(loss - math.log(4096.0)) < 1e-9
         assert abs(loss - 8.317766) < 1e-6
 
@@ -84,7 +85,7 @@ class TestContrastive:
         q = NegativeQueue(capacity=16, dim=6)
         q.push(unit_rows(rng, 16, 6))
         tau = 0.2
-        loss, _, _ = contrastive_loss(z, z_pos, q, tau)
+        loss, _ = contrastive_loss(z, z_pos, q, tau)
 
         negs = q.as_matrix()
         per_sample = []
@@ -113,11 +114,11 @@ class TestContrastive:
 
         def loss_fn(p):
             _, z, _ = encode_batch(TINY_ENC, p, x)
-            loss, _, _ = contrastive_loss(z, z_keys, queue, 0.2)
+            loss, _ = contrastive_loss(z, z_keys, queue, 0.2)
             return loss
 
         _, z, cache = encode_batch(TINY_ENC, params, x)
-        _, d_z, _ = contrastive_loss(z, z_keys, queue, 0.2)
+        _, d_z = contrastive_loss(z, z_keys, queue, 0.2)
         analytic = encode_backward(TINY_ENC, params, cache, d_z=d_z)
         assert grad_check(loss_fn, params, analytic) < 1e-5
 
@@ -137,94 +138,101 @@ class TestContrastive:
         q = NegativeQueue(capacity=8, dim=4)
         q.push(unit_rows(rng, 8, 4))
         for _ in range(10):
-            loss, _, _ = contrastive_loss(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
-                                          q, tau=0.5)
+            loss, _ = contrastive_loss(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
+                                       q, tau=0.5)
             assert loss >= 0.0
 
     def test_extreme_temperature_stays_finite(self):
         rng = make_rng(97)
         q = NegativeQueue(capacity=8, dim=4)
         q.push(unit_rows(rng, 8, 4))
-        loss, d_z, d_zp = contrastive_loss(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
-                                           q, tau=0.01)
+        loss, d_z = contrastive_loss(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
+                                     q, tau=0.01)
         assert np.isfinite(loss)
-        assert np.all(np.isfinite(d_z)) and np.all(np.isfinite(d_zp))
+        assert np.all(np.isfinite(d_z))
 
 
 class TestConsistencyAbs:
     def test_zero_when_equal(self):
         omega = np.array([0.3, -0.2, 0.9])
-        loss, d_o, d_g = consistency_loss_abs(omega, omega.copy())
+        loss, d_o, k = consistency_loss_abs(omega, omega.copy(), np.ones(3, dtype=int))
         assert loss == 0.0
         np.testing.assert_array_equal(d_o, np.zeros(3))
+        assert k == {1: 0.0}
 
     def test_symmetric_offsets(self):
-        loss, _, _ = consistency_loss_abs(np.array([0.5, 0.1]), np.array([0.3, 0.3]))
+        loss, _, _ = consistency_loss_abs(np.array([0.5, 0.1]), np.array([0.3, 0.3]),
+                                          np.ones(2, dtype=int))
         assert abs(loss - 0.2) < 1e-15
 
     def test_matches_scalar_oracle(self):
         rng = make_rng(34)
         omega = rng.uniform(-1, 1, size=10)
         g = rng.uniform(-1, 1, size=10)
-        loss, d_o, d_g = consistency_loss_abs(omega, g)
+        lengths = np.array([1, 2] * 5)
+        loss, d_o, k = consistency_loss_abs(omega, g, lengths)
         assert abs(loss - sum(abs(a - b) for a, b in zip(omega, g)) / 10) < 1e-15
         np.testing.assert_array_equal(d_o, np.sign(omega - g) / 10)
-        np.testing.assert_array_equal(d_g, -np.sign(omega - g) / 10)
+        assert k == {1: np.mean(omega[::2] - g[::2]), 2: np.mean(omega[1::2] - g[1::2])}
 
     def test_gradient_passes_away_from_ties(self):
         assert check_consistency_abs(38) < 1e-5
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            consistency_loss_abs(np.zeros(0), np.zeros(0))
+            consistency_loss_abs(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
 
 
 class TestConsistencySoftplus:
     def test_zero_gap_gives_ln2(self):
         omega = np.array([0.5, 0.3])
         g = np.array([0.3, 0.5])  # mean gap 0
-        loss, _, _, k = consistency_loss_softplus({1: (omega, g)})
+        loss, _, k = consistency_loss_softplus(omega, g, np.ones(2, dtype=int))
         assert abs(loss - math.log(2.0)) < 1e-12
         assert abs(k[1]) < 1e-15
 
     def test_large_negative_gap_vanishes(self):
-        loss, _, _, _ = consistency_loss_softplus({1: (np.array([-10.0]),
-                                                       np.array([10.0]))})
+        loss, _, _ = consistency_loss_softplus(np.array([-10.0]), np.array([10.0]),
+                                               np.array([1]))
         assert loss < 1e-8
 
     def test_two_groups_match_hand_oracle(self):
         rng = make_rng(35)
         o1, g1 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
         o2, g2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        loss, d_o, d_g, k = consistency_loss_softplus({1: (o1, g1), 2: (o2, g2)})
+        lengths = np.array([1, 1, 1, 1, 2, 2, 2])
+        loss, d_o, k = consistency_loss_softplus(np.concatenate([o1, o2]),
+                                                 np.concatenate([g1, g2]), lengths)
         k1 = np.mean(o1 - g1)
         k2 = np.mean(o2 - g2)
         expected = 0.5 * (math.log1p(math.exp(k1)) + math.log1p(math.exp(k2)))
         assert abs(loss - expected) < 1e-12
         assert abs(k[1] - k1) < 1e-15 and abs(k[2] - k2) < 1e-15
         sig1 = 1.0 / (1.0 + math.exp(-k1))
-        np.testing.assert_allclose(d_o[1], np.full(4, sig1 / (2 * 4)), atol=1e-15)
-        np.testing.assert_allclose(d_g[1], -np.full(4, sig1 / (2 * 4)), atol=1e-15)
+        sig2 = 1.0 / (1.0 + math.exp(-k2))
+        np.testing.assert_allclose(d_o[:4], np.full(4, sig1 / (2 * 4)), atol=1e-15)
+        np.testing.assert_allclose(d_o[4:], np.full(3, sig2 / (2 * 3)), atol=1e-15)
 
     def test_strictly_increasing_in_each_gap(self):
-        base = {1: (np.array([0.2, 0.4]), np.array([0.1, 0.1]))}
-        loss0, _, _, _ = consistency_loss_softplus(base)
-        shifted = {1: (np.array([0.25, 0.45]), np.array([0.1, 0.1]))}
-        loss1, _, _, _ = consistency_loss_softplus(shifted)
+        g, lengths = np.array([0.1, 0.1]), np.ones(2, dtype=int)
+        loss0, _, _ = consistency_loss_softplus(np.array([0.2, 0.4]), g, lengths)
+        loss1, _, _ = consistency_loss_softplus(np.array([0.25, 0.45]), g, lengths)
         assert loss1 > loss0
 
     def test_positive_always(self):
         rng = make_rng(36)
         for _ in range(50):
-            loss, _, _, _ = consistency_loss_softplus(
-                {1: (rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))})
+            loss, _, _ = consistency_loss_softplus(
+                rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5), np.ones(5, dtype=int))
             assert loss > 0.0
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            consistency_loss_softplus({})
+            consistency_loss_softplus(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            consistency_loss_softplus({1: (np.zeros(0), np.zeros(0))})
+            consistency_loss_softplus(np.zeros(2), np.zeros(3), np.ones(2, dtype=int))
+        with pytest.raises(ValueError):
+            consistency_loss_softplus(np.zeros(2), np.zeros(2), np.ones(3, dtype=int))
 
     def test_gradient_passes(self):
         assert check_consistency_softplus(38) < 1e-5
@@ -263,18 +271,18 @@ class TestCrossEntropy:
 
 
 class TestTotalLoss:
-    def test_simple_sum(self):
-        assert total_unsup_loss(0.7, 0.3).total == 1.0
-
-    def test_zero_consistency(self):
-        b = total_unsup_loss(0.55, 0.0)
-        assert b.total == b.contrastive == 0.55
-
-    def test_breakdown_fields(self):
-        b = total_unsup_loss(0.5, 0.25, k_by_length={1: -0.1}, simi=0.8)
-        assert b.k_by_length == {1: -0.1}
-        assert b.simi == 0.8
-        assert b.total == 0.75
-
     def test_combined_gradient_passes(self):
         assert check_total_unsup(26) < 1e-5
+
+    def test_check_runs_the_training_path(self, monkeypatch):
+        # a 0.1% error in the gradient unsup_eval returns must fail the check
+        real = bilevel.unsup_eval
+
+        def skewed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out.grads is not None:
+                out.grads = out.grads.scale(1.0 + 1e-3)
+            return out
+
+        monkeypatch.setattr(bilevel, "unsup_eval", skewed)
+        assert check_total_unsup(SUITE_SEEDS["total_unsup_loss"]) >= GRAD_CHECK_TOL

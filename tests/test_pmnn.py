@@ -22,7 +22,8 @@ class TestMonotonicity:
             i = int(rng.integers(0, 14))
             bumped = v.copy()
             bumped[i] += 1
-            assert pmnn.predict(params, bumped) <= pmnn.predict(params, v) + 1e-12
+            assert (pmnn.predict_batch(params, bumped)
+                    <= pmnn.predict_batch(params, v) + 1e-12)
 
     def test_componentwise_chain_property(self):
         rng = make_rng(22)
@@ -32,7 +33,8 @@ class TestMonotonicity:
             extra = rng.integers(0, 3, size=14)
             if extra.sum() == 0:
                 extra[int(rng.integers(0, 14))] = 1
-            assert pmnn.predict(params, v + extra) <= pmnn.predict(params, v) + 1e-12
+            assert (pmnn.predict_batch(params, v + extra)
+                    <= pmnn.predict_batch(params, v) + 1e-12)
 
 
 class TestForward:
@@ -52,7 +54,7 @@ class TestForward:
         v = np.zeros(14)
         v[0] = 1
         expected = math.tanh(1.0 * math.tanh(1.0 * math.tanh(-1.0)))
-        assert abs(pmnn.predict(params, v) - expected) < 1e-15
+        assert abs(pmnn.predict_batch(params, v)[0] - expected) < 1e-15
 
     def test_output_range_open_interval(self):
         rng = make_rng(24)
@@ -64,9 +66,9 @@ class TestForward:
     def test_wrong_input_dimension(self):
         params = pmnn.init_pmnn_params(make_rng(26), hidden=4)
         with pytest.raises(ValueError):
-            pmnn.predict(params, np.zeros(13))
+            pmnn.predict_batch(params, np.zeros(13))
         with pytest.raises(ValueError):
-            pmnn.predict(params, -np.ones(14))
+            pmnn.predict_batch(params, -np.ones(14))
 
 
 class TestGradients:

@@ -1,8 +1,10 @@
 """Composite image augmentations over a fixed pool of 14 basic transforms.
 
-A raster is an (H, W, C) float64 array with values in [0, 1], C in {1, 3}.
-Every transform preserves dimensions and clamps its output back into [0, 1];
-geometric transforms fill vacated pixels with 0.5 instead of resizing.
+A raster is an (H, W, C) float64 array with values in [0, 1], C in {1, 3};
+the transforms take an (N, H, W, C) batch of rasters, and a single raster is
+a batch of one. Every transform preserves dimensions and clamps its output
+back into [0, 1]; geometric transforms fill vacated pixels with 0.5 instead
+of resizing. Their bilinear sampling plans are cached per (transform, H, W).
 
 A composite augmentation is an ordered chain of basic transforms; its
 composition vector counts how many times each pool member appears, so it is
@@ -13,7 +15,9 @@ length.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +88,23 @@ class CompositeAugmentation:
         return iter(self.transforms)
 
 
-def validate_raster(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] not in (1, 3):
-        raise ValueError(f"raster must be (H, W, C) with C in {{1, 3}}, got {img.shape}")
-    return img
+def validate_batch(imgs: np.ndarray) -> np.ndarray:
+    imgs = np.asarray(imgs, dtype=np.float64)
+    if imgs.ndim != 4 or imgs.shape[3] not in (1, 3):
+        raise ValueError(f"raster batch must be (N, H, W, C) with C in {{1, 3}}, "
+                         f"got {imgs.shape}")
+    return imgs
 
 
-def _clamp(img: np.ndarray) -> np.ndarray:
-    return np.clip(img, 0.0, 1.0)
+def _clamp(imgs: np.ndarray) -> np.ndarray:
+    return np.clip(imgs, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
+# Every transform maps an (N, H, W, C) batch to a batch of the same shape;
+# each raster is transformed on its own, so a batch of one gives the same
+# bits as that raster inside any batch.
+#
 # Enhancement transforms: out = base + f * (img - base)
 
 
@@ -103,164 +112,171 @@ def _blend_factor(t: BasicTransform) -> float:
     return _BLEND_LO + _BLEND_SPAN * t.magnitude
 
 
-def _brightness(img, t):
-    return _blend_factor(t) * img
+def _brightness(imgs, t):
+    return _blend_factor(t) * imgs
 
 
-def _grayscale(img: np.ndarray) -> np.ndarray:
-    if img.shape[2] == 1:
-        return img
-    luma = 0.299 * img[:, :, 0] + 0.587 * img[:, :, 1] + 0.114 * img[:, :, 2]
-    return np.repeat(luma[:, :, None], 3, axis=2)
+def _grayscale(imgs: np.ndarray) -> np.ndarray:
+    if imgs.shape[3] == 1:
+        return imgs
+    luma = 0.299 * imgs[..., 0] + 0.587 * imgs[..., 1] + 0.114 * imgs[..., 2]
+    return np.repeat(luma[..., None], 3, axis=3)
 
 
-def _color(img, t):
-    base = _grayscale(img)
-    return base + _blend_factor(t) * (img - base)
+def _color(imgs, t):
+    base = _grayscale(imgs)
+    return base + _blend_factor(t) * (imgs - base)
 
 
-def _contrast(img, t):
-    base = img.mean(axis=(0, 1), keepdims=True)
-    return base + _blend_factor(t) * (img - base)
+def _contrast(imgs, t):
+    base = imgs.mean(axis=(1, 2), keepdims=True)
+    return base + _blend_factor(t) * (imgs - base)
 
 
-def _box_blur3(img: np.ndarray) -> np.ndarray:
+def _box_blur3(imgs: np.ndarray) -> np.ndarray:
     # 3x3 mean with edge replication at the border.
-    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    out = np.zeros_like(img)
+    _, h, w, _ = imgs.shape
+    padded = np.concatenate([imgs[:, :1], imgs, imgs[:, -1:]], axis=1)
+    padded = np.concatenate([padded[:, :, :1], padded, padded[:, :, -1:]], axis=2)
+    out = np.zeros_like(imgs)
     for dy in range(3):
         for dx in range(3):
-            out += padded[dy:dy + img.shape[0], dx:dx + img.shape[1]]
+            out += padded[:, dy:dy + h, dx:dx + w]
     return out / 9.0
 
 
-def _sharpness(img, t):
-    base = _box_blur3(img)
-    return base + _blend_factor(t) * (img - base)
+def _sharpness(imgs, t):
+    base = _box_blur3(imgs)
+    return base + _blend_factor(t) * (imgs - base)
 
 
 # ---------------------------------------------------------------------------
-# Histogram transforms
+# Histogram transforms, per raster and channel
 
 
-def _autocontrast(img, t):
-    out = img.copy()
-    for c in range(img.shape[2]):
-        chan = img[:, :, c]
-        lo, hi = chan.min(), chan.max()
-        if hi - lo < 1.0 / 255.0:
-            continue
-        out[:, :, c] = (chan - lo) / (hi - lo)
-    return out
+def _autocontrast(imgs, t):
+    lo = imgs.min(axis=(1, 2), keepdims=True)
+    hi = imgs.max(axis=(1, 2), keepdims=True)
+    flat = hi - lo < 1.0 / 255.0
+    stretched = (imgs - lo) / np.where(flat, 1.0, hi - lo)
+    return np.where(flat, imgs, stretched)
 
 
-def _equalize(img, t):
-    out = img.copy()
-    npix = img.shape[0] * img.shape[1]
-    for c in range(img.shape[2]):
-        q = np.round(img[:, :, c] * 255.0).astype(np.int64)
-        hist = np.bincount(q.ravel(), minlength=256)
-        cdf = np.cumsum(hist)
-        nonzero = np.nonzero(hist)[0]
-        cdf_min = cdf[nonzero[0]]
-        if npix == cdf_min:  # single gray level, nothing to spread
-            continue
-        lut = np.round(255.0 * (cdf - cdf_min) / (npix - cdf_min))
-        out[:, :, c] = np.clip(lut, 0, 255)[q] / 255.0
-    return out
+def _equalize(imgs, t):
+    n, h, w, c = imgs.shape
+    npix = h * w
+    q = np.round(imgs * 255.0).astype(np.int64)
+    if q.min() < 0:
+        raise ValueError("equalize needs pixel values >= 0")
+    levels = max(256, int(q.max()) + 1)
+    # one histogram per (raster, channel): offset each pair's levels
+    lane = np.arange(n * c).reshape(n, 1, 1, c) * levels
+    hist = np.bincount((q + lane).ravel(), minlength=n * c * levels).reshape(n, c, levels)
+    cdf = np.cumsum(hist, axis=2)
+    cdf_min = np.take_along_axis(cdf, np.argmax(hist > 0, axis=2)[..., None], axis=2)
+    single = npix == cdf_min  # one gray level, nothing to spread
+    lut = np.round(255.0 * (cdf - cdf_min) / np.where(single, 1, npix - cdf_min))
+    lut = np.clip(lut, 0, 255).reshape(-1)
+    out = lut[q + lane] / 255.0
+    return np.where(single.reshape(n, 1, 1, c), imgs, out)
 
 
-def _posterize(img, t):
+def _posterize(imgs, t):
     keep_bits = 8 - int(round(4.0 * t.magnitude))
     drop = 8 - keep_bits
-    q = np.round(img * 255.0).astype(np.int64)
+    q = np.round(imgs * 255.0).astype(np.int64)
     q = (q >> drop) << drop
     return q / 255.0
 
 
-def _solarize(img, t):
+def _solarize(imgs, t):
     threshold = 1.0 - t.magnitude
-    return np.where(img > threshold, 1.0 - img, img)
+    return np.where(imgs > threshold, 1.0 - imgs, imgs)
 
 
 # ---------------------------------------------------------------------------
 # Geometric transforms: inverse-mapped bilinear sampling, constant fill
 
 
-def _bilinear_inverse(img: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
-    """Sample img at fractional source coordinates; outside pixels read as fill."""
-    h, w, _ = img.shape
+def _source_coords(t: BasicTransform, h: int, w: int):
+    """Fractional source (y, x) of every destination pixel."""
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    if t.id == TransformId.ROTATE:
+        angle = math.radians(t.sign * _MAX_ROTATE_DEG * t.magnitude)
+        dy, dx = ys - cy, xs - cx
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        return cos_a * dy - sin_a * dx + cy, sin_a * dy + cos_a * dx + cx
+    s = t.sign * _MAX_SHEAR * t.magnitude
+    if t.id == TransformId.SHEAR_X:
+        return ys, xs + s * (ys - cy)
+    return ys + s * (xs - cx), xs  # SHEAR_Y
+
+
+@functools.lru_cache(maxsize=64)
+def _bilinear_plan(t: BasicTransform, h: int, w: int):
+    """Gather indices and weights of the four bilinear corners, in the order
+    they are summed. Indices address the H*W pixels plus one appended fill
+    pixel (index H*W) that every outside corner reads."""
+    src_y, src_x = _source_coords(t, h, w)
     y0 = np.floor(src_y).astype(np.int64)
     x0 = np.floor(src_x).astype(np.int64)
     wy = src_y - y0
     wx = src_x - x0
-    out = np.zeros_like(img)
+    plan = []
     for dy, dx, wgt in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
                         (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
         yy, xx = y0 + dy, x0 + dx
         inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = img[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), :]
-        vals = np.where(inside[:, :, None], vals, GEOMETRIC_FILL)
-        out += wgt[:, :, None] * vals
-    return out
+        idx = np.where(inside, yy * w + xx, h * w).reshape(-1)
+        weight = wgt.reshape(1, -1, 1)
+        idx.flags.writeable = weight.flags.writeable = False
+        plan.append((idx, weight))
+    return tuple(plan)
 
 
-def _dest_grid(img):
-    h, w, _ = img.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    return ys, xs, (h - 1) / 2.0, (w - 1) / 2.0
+def _bilinear(imgs, t):
+    n, h, w, c = imgs.shape
+    fill = np.full((n, 1, c), GEOMETRIC_FILL)
+    pixels = np.concatenate([imgs.reshape(n, h * w, c), fill], axis=1)
+    out = np.zeros((n, h * w, c))
+    for idx, weight in _bilinear_plan(t, h, w):
+        out += weight * np.take(pixels, idx, axis=1)
+    return out.reshape(n, h, w, c)
 
 
-def _rotate(img, t):
-    angle = math.radians(t.sign * _MAX_ROTATE_DEG * t.magnitude)
-    ys, xs, cy, cx = _dest_grid(img)
-    dy, dx = ys - cy, xs - cx
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    src_y = cos_a * dy - sin_a * dx + cy
-    src_x = sin_a * dy + cos_a * dx + cx
-    return _bilinear_inverse(img, src_y, src_x)
-
-
-def _shear_x(img, t):
-    s = t.sign * _MAX_SHEAR * t.magnitude
-    ys, xs, cy, _ = _dest_grid(img)
-    return _bilinear_inverse(img, ys, xs + s * (ys - cy))
-
-
-def _shear_y(img, t):
-    s = t.sign * _MAX_SHEAR * t.magnitude
-    ys, xs, _, cx = _dest_grid(img)
-    return _bilinear_inverse(img, ys + s * (xs - cx), xs)
-
-
-def _integer_shift(img: np.ndarray, shift: int, axis: int) -> np.ndarray:
+def _integer_shift(imgs: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """Shift content by whole pixels along axis; vacated pixels get the fill."""
     if shift == 0:
-        return img.copy()
-    out = np.full_like(img, GEOMETRIC_FILL)
-    n = img.shape[axis]
+        return imgs.copy()
+    out = np.full_like(imgs, GEOMETRIC_FILL)
+    n = imgs.shape[axis]
     if abs(shift) >= n:
         return out
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
+    src = [slice(None)] * 4
+    dst = [slice(None)] * 4
     if shift > 0:
         dst[axis], src[axis] = slice(shift, None), slice(None, n - shift)
     else:
         dst[axis], src[axis] = slice(None, n + shift), slice(-shift, None)
-    out[tuple(dst)] = img[tuple(src)]
+    out[tuple(dst)] = imgs[tuple(src)]
     return out
 
 
-def _translate_x(img, t):
-    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * img.shape[1] * t.magnitude))
-    return _integer_shift(img, shift, axis=1)
+def _translate_x(imgs, t):
+    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * imgs.shape[2] * t.magnitude))
+    return _integer_shift(imgs, shift, axis=2)
 
 
-def _translate_y(img, t):
-    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * img.shape[0] * t.magnitude))
-    return _integer_shift(img, shift, axis=0)
+def _translate_y(imgs, t):
+    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * imgs.shape[1] * t.magnitude))
+    return _integer_shift(imgs, shift, axis=1)
 
+
+# The transforms that read BasicTransform.sign; the rest ignore it.
+_SIGNED = frozenset((TransformId.ROTATE, TransformId.SHEAR_X, TransformId.SHEAR_Y,
+                     TransformId.TRANSLATE_X, TransformId.TRANSLATE_Y))
 
 _DISPATCH = {
     TransformId.AUTOCONTRAST: _autocontrast,
@@ -268,12 +284,12 @@ _DISPATCH = {
     TransformId.COLOR: _color,
     TransformId.CONTRAST: _contrast,
     TransformId.EQUALIZE: _equalize,
-    TransformId.IDENTITY: lambda img, t: img.copy(),
+    TransformId.IDENTITY: lambda imgs, t: imgs.copy(),
     TransformId.POSTERIZE: _posterize,
-    TransformId.ROTATE: _rotate,
+    TransformId.ROTATE: _bilinear,
     TransformId.SHARPNESS: _sharpness,
-    TransformId.SHEAR_X: _shear_x,
-    TransformId.SHEAR_Y: _shear_y,
+    TransformId.SHEAR_X: _bilinear,
+    TransformId.SHEAR_Y: _bilinear,
     TransformId.TRANSLATE_X: _translate_x,
     TransformId.TRANSLATE_Y: _translate_y,
     TransformId.SOLARIZE: _solarize,
@@ -284,10 +300,11 @@ _DISPATCH = {
 # Public operations
 
 
-def apply_basic(t: BasicTransform, img: np.ndarray) -> np.ndarray:
-    """Apply one basic transform; deterministic given (t, img)."""
-    img = validate_raster(img)
-    return _clamp(_DISPATCH[t.id](img, t))
+def apply_basic(t: BasicTransform, imgs: np.ndarray) -> np.ndarray:
+    """Apply one basic transform to every raster of an (N, H, W, C) batch;
+    deterministic given (t, imgs)."""
+    imgs = validate_batch(imgs)
+    return _clamp(_DISPATCH[t.id](imgs, t))
 
 
 def sample_composite(length: int, magnitude: float,
@@ -296,11 +313,10 @@ def sample_composite(length: int, magnitude: float,
     replacement), each at the given magnitude with a uniform random sign."""
     if length < 1:
         raise ValueError("composite length must be >= 1")
-    ids = rng.integers(0, POOL_SIZE, size=length)
-    signs = rng.integers(0, 2, size=length) * 2 - 1
+    ids = rng.integers(0, POOL_SIZE, size=length).tolist()
+    signs = rng.integers(0, 2, size=length).tolist()
     return CompositeAugmentation(tuple(
-        BasicTransform(TransformId(int(i)), magnitude, int(s))
-        for i, s in zip(ids, signs)))
+        BasicTransform(TransformId(i), magnitude, 2 * s - 1) for i, s in zip(ids, signs)))
 
 
 def composition_vector(aug: CompositeAugmentation) -> np.ndarray:
@@ -309,9 +325,23 @@ def composition_vector(aug: CompositeAugmentation) -> np.ndarray:
     return np.bincount(ids, minlength=POOL_SIZE).astype(np.int64)
 
 
-def apply_composite(aug: CompositeAugmentation, img: np.ndarray) -> np.ndarray:
-    """Apply the chain in list order."""
-    out = validate_raster(img)
-    for t in aug:
-        out = apply_basic(t, out)
+def apply_composite(augs: Sequence[CompositeAugmentation], imgs: np.ndarray) -> np.ndarray:
+    """Apply ``augs[i]`` to ``imgs[i]`` for an (N, H, W, C) batch.
+
+    Chains run position by position: at each position every distinct basic
+    transform is applied once, to the rasters whose chain has it there.
+    """
+    out = validate_batch(imgs)
+    if len(augs) != out.shape[0]:
+        raise ValueError(f"{len(augs)} composites for {out.shape[0]} rasters")
+    out = out.copy()
+    for pos in range(max((len(a) for a in augs), default=0)):
+        groups: dict[tuple, tuple[BasicTransform, list[int]]] = {}
+        for i, aug in enumerate(augs):
+            if pos < len(aug):
+                t = aug.transforms[pos]
+                key = (t.id, t.magnitude, t.sign if t.id in _SIGNED else 1)
+                groups.setdefault(key, (t, []))[1].append(i)
+        for t, idx in groups.values():
+            out[idx] = apply_basic(t, out[idx])
     return out

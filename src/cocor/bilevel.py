@@ -21,6 +21,7 @@ and is used to validate direction and sign. A guard skips the update when
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -28,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pmnn
-from .augment import CompositeAugmentation, apply_composite, composition_vector, sample_composite
+from .augment import (POOL_SIZE, CompositeAugmentation, apply_composite, composition_vector,
+                      sample_composite)
 from .config import RunConfig
 from .data import Dataset, weak_augment
 from .encoder import (EncoderConfig, encode_backward, encode_batch, init_encoder_params,
                       momentum_update)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
-from .numcore import ParamSet, SgdState, make_rng, sgd_step
+from .numcore import ParamSet, SgdState, make_rng, path_rngs, sgd_step
 
 DENOM_GUARD = 1e-8
 
@@ -90,7 +92,7 @@ class StepBatch:
     z_keys: np.ndarray          # momentum-encoder embeddings, constants
     x_raw: np.ndarray
     x_aug: np.ndarray
-    v: np.ndarray               # (B, 14) composition vectors
+    v: np.ndarray               # (B, POOL_SIZE) composition vectors
     lengths: np.ndarray
 
 
@@ -155,28 +157,24 @@ def _flatten(imgs: np.ndarray) -> np.ndarray:
 
 def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
                      stream: int, step_tag: int) -> StepBatch:
-    """Weak query/key views plus raw and composite-augmented views, with
-    per-sample seed paths so worker fan-out cannot change results."""
+    """Weak query/key views plus raw and composite-augmented views. Every
+    sample draws from its own seed paths, so its views do not depend on the
+    batch around it."""
     n = imgs.shape[0]
-    queries, keys, augmented = [], [], []
-    vs = np.zeros((n, 14), dtype=np.int64)
-    lengths = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        queries.append(weak_augment(imgs[i], make_rng(state.master_seed, stream,
-                                                      step_tag, i, ROLE_QUERY)))
-        keys.append(weak_augment(imgs[i], make_rng(state.master_seed, stream,
-                                                   step_tag, i, ROLE_KEY)))
-        comp_rng = make_rng(state.master_seed, stream, step_tag, i, ROLE_COMPOSITE)
-        length = int(comp_rng.choice(np.asarray(cfg.lengths)))
-        comp = sample_composite(length, cfg.magnitude, comp_rng)
-        augmented.append(apply_composite(comp, imgs[i]))
-        vs[i] = composition_vector(comp)
-        lengths[i] = length
+    rngs = path_rngs([(state.master_seed, stream, step_tag, i, role)
+                      for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
+    queries = weak_augment(imgs, itertools.islice(rngs, n))
+    keys = weak_augment(imgs, itertools.islice(rngs, n))
+    # rng.choice(cfg.lengths) draws its index as integers(0, len): same draws
+    comps = [sample_composite(cfg.lengths[rng.integers(0, len(cfg.lengths))],
+                              cfg.magnitude, rng) for rng in rngs]
+    augmented = apply_composite(comps, imgs)
 
-    _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(np.stack(keys)))
-    return StepBatch(x_query=_flatten(np.stack(queries)), z_keys=z_keys,
-                     x_raw=_flatten(imgs), x_aug=_flatten(np.stack(augmented)),
-                     v=vs, lengths=lengths)
+    _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
+    return StepBatch(x_query=_flatten(queries), z_keys=z_keys,
+                     x_raw=_flatten(imgs), x_aug=_flatten(augmented),
+                     v=np.stack([composition_vector(c) for c in comps]),
+                     lengths=np.array([len(c) for c in comps], dtype=np.int64))
 
 
 _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss_softplus}
@@ -345,10 +343,13 @@ def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predictor,
     predictor's values over a set of (image, composite) pairs."""
     if not probe_set:
         raise ValueError("empty probe set")
+    imgs = np.stack([img for img, _ in probe_set])
+    augmented = apply_composite([comp for _, comp in probe_set], imgs)
     gaps = []
-    for img, comp in probe_set:
+    # one row per encode: a different row count can change BLAS rounding
+    for img, aug, (_, comp) in zip(imgs, augmented, probe_set):
         flat = _flatten(img[None])
-        aug_flat = _flatten(apply_composite(comp, img)[None])
+        aug_flat = _flatten(aug[None])
         _, z_raw, _ = encode_batch(enc_cfg, theta_e, flat)
         _, z_aug, _ = encode_batch(enc_cfg, theta_e, aug_flat)
         omega = float(np.sum(z_raw * z_aug))
@@ -390,16 +391,15 @@ def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None
     for w in range(n_batches):
         rng = make_rng(state.master_seed, STREAM_WARMUP, w)
         idx = rng.integers(0, n, size=cfg.batch_size)
-        keys = np.stack([
-            weak_augment(images[i], make_rng(state.master_seed, STREAM_WARMUP, w, j, ROLE_KEY))
-            for j, i in enumerate(idx)])
+        keys = weak_augment(images[idx], path_rngs(
+            [(state.master_seed, STREAM_WARMUP, w, j, ROLE_KEY) for j in range(idx.size)]))
         _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
         state.queue.push(z_keys)
 
 
 def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator, trials: int = 100) -> None:
-    vs = rng.integers(0, 9, size=(trials, 14))
-    coords = rng.integers(0, 14, size=trials)
+    vs = rng.integers(0, 9, size=(trials, POOL_SIZE))
+    coords = rng.integers(0, POOL_SIZE, size=trials)
     base = pmnn.predict_batch(theta_d, vs)
     bumped = vs.copy()
     bumped[np.arange(trials), coords] += 1

@@ -137,12 +137,12 @@ def cmd_augment_preview(args) -> int:
     harness.write_raster(os.path.join(cfg.out_dir, f"before.{ext}"), img)
     for tid in TransformId:
         t = BasicTransform(tid, args.magnitude, 1)
-        out = apply_basic(t, img)
+        out = apply_basic(t, img[None])[0]
         harness.write_raster(
             os.path.join(cfg.out_dir, f"after_{tid.name.lower()}.{ext}"), out)
     comp = sample_composite(args.length, args.magnitude, make_rng(cfg.seed, 778))
     harness.write_raster(os.path.join(cfg.out_dir, f"after_composite.{ext}"),
-                         apply_composite(comp, img))
+                         apply_composite([comp], img[None])[0])
     print(f"wrote previews for {len(TransformId)} transforms to {cfg.out_dir}")
     return 0
 

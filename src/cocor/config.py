@@ -104,6 +104,8 @@ class RunConfig:
             raise ConfigError("lengths must be a non-empty subset of [1, 8]")
         if not -1.0 <= self.const_deviation <= 1.0:
             raise ConfigError("const_deviation must lie in [-1, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:

@@ -217,12 +217,25 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray,
 # Weak augmentation for the contrastive branch
 
 
-def weak_augment(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def weak_augment(imgs: np.ndarray, rngs) -> np.ndarray:
     """Horizontal flip (p=0.5) + per-channel brightness jitter (+-0.2)
-    + pixel noise (sigma 0.02), clamped to [0, 1]."""
-    out = np.asarray(img, dtype=np.float64)
-    if rng.random() < 0.5:
-        out = out[:, ::-1, :]
-    jitter = rng.uniform(-0.2, 0.2, size=(1, 1, out.shape[2]))
-    out = out + jitter + 0.02 * rng.standard_normal(out.shape)
-    return np.clip(out, 0.0, 1.0)
+    + pixel noise (sigma 0.02), clamped to [0, 1], for an (N, H, W, C) batch.
+
+    ``rngs`` yields one generator per raster; raster i's draws come from the
+    i-th, in the order flip, jitter, noise.
+    """
+    imgs = np.asarray(imgs, dtype=np.float64)
+    n, _, _, channels = imgs.shape
+    flip = np.empty(n, dtype=bool)
+    jitter = np.empty((n, channels))
+    noise = np.empty(imgs.shape)
+    for i, rng in zip(range(n), rngs, strict=True):
+        flip[i] = rng.random() < 0.5
+        jitter[i] = rng.uniform(-0.2, 0.2, size=channels)
+        rng.standard_normal(out=noise[i])
+    out = imgs.copy()
+    out[flip] = imgs[flip, :, ::-1]
+    out += jitter[:, None, None, :]
+    noise *= 0.02
+    out += noise
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -114,7 +114,7 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
 def encode(cfg: EncoderConfig, params: ParamSet,
            img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-raster convenience wrapper: returns (features, z) as vectors."""
-    flat = augment.validate_raster(img).reshape(1, -1)
+    flat = augment.validate_batch(np.asarray(img)[None]).reshape(1, -1)
     features, z, _ = encode_batch(cfg, params, flat)
     return features[0], z[0]
 
@@ -160,7 +160,7 @@ def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
     """Cosine similarity between the embeddings of the raw image and its
     augmented view; in [-1, 1] since both are unit vectors."""
     _, z_raw = encode(cfg, params, img)
-    _, z_aug = encode(cfg, params, augment.apply_composite(aug, img))
+    _, z_aug = encode(cfg, params, augment.apply_composite([aug], np.asarray(img)[None])[0])
     return float(np.dot(z_raw, z_aug))
 
 

@@ -3,8 +3,9 @@ with cosine decay, and a central-difference gradient checker.
 
 Matrices are plain 2-D float64 numpy arrays; everything here is pure except
 optimizer state, which is single-owner. All randomness flows through
-counter-based generators derived from integer seed paths (see ``make_rng``),
-so runs are bit-reproducible.
+counter-based generators derived from integer seed paths (see ``make_rng``;
+``path_rngs`` gives the same generators for many paths at once), so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +27,101 @@ def make_rng(*entropy: int) -> np.random.Generator:
     generator that depends only on the path, never on call order.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# numpy's SeedSequence constants (pool of four 32-bit words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(path: tuple[int, ...]) -> list[int]:
+    """SeedSequence's entropy assembly: each entry as little-endian 32-bit
+    words, at least one word per entry."""
+    words = []
+    for n in path:
+        if 0 <= n <= _MASK32:
+            words.append(n)
+            continue
+        n = int(n)
+        if n < 0:
+            raise ValueError("seed path entries must be non-negative")
+        while n:
+            words.append(n & _MASK32)
+            n >>= 32
+    return words
+
+
+def _pool_keys(words: np.ndarray) -> np.ndarray:
+    """SeedSequence mixing and ``generate_state(2, uint64)`` for an (N, L)
+    uint32 array of entropy words that all have the same length L.
+
+    The hash constants advance identically for every row, so each step is
+    one vectorized uint32 operation (multiplication wraps mod 2**32).
+    """
+    const = [_INIT_A]
+
+    def hashmix(value):
+        value = value ^ np.uint32(const[0])
+        const[0] = (const[0] * _MULT_A) & _MASK32
+        value = value * np.uint32(const[0])
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    n, length = words.shape
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+
+    out = np.empty((n, 4), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(4):
+        value = pool[i] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out[:, i] = value ^ (value >> np.uint32(16))
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def philox_keys(paths) -> np.ndarray:
+    """(N, 2) uint64 Philox keys; row i is the key ``make_rng(*paths[i])``
+    uses, derived without building a SeedSequence per path."""
+    rows = [_entropy_words(p) for p in paths]
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for idx in by_length.values():
+        keys[idx] = _pool_keys(np.array([rows[i] for i in idx], dtype=np.uint32))
+    return keys
+
+
+def path_rngs(paths):
+    """Yield, path by path, a generator that draws exactly what
+    ``make_rng(*path)`` draws.
+
+    One Philox generator is re-keyed in place for each path, so each yielded
+    generator is valid only until the next one is requested.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key in philox_keys(paths).tolist():
+        # a freshly seeded Philox: zero counter, empty output buffer
+        state["state"] = {"counter": (0, 0, 0, 0), "key": key}
+        bitgen.state = state
+        yield gen
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

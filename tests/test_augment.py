@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,21 +21,31 @@ def quantized_raster(seed, h=8, w=8, c=3):
 ALL_IDS = list(TransformId)
 
 
+def basic(t, img):
+    """apply_basic on a batch of one raster."""
+    return apply_basic(t, img[None])[0]
+
+
+def composite(comp, img):
+    """apply_composite on a batch of one raster."""
+    return apply_composite([comp], img[None])[0]
+
+
 class TestBasicTransforms:
     def test_identity_is_bit_identical(self):
         img = random_raster(1)
         for mag in (0.0, 0.3, 1.0):
-            out = apply_basic(BasicTransform(TransformId.IDENTITY, mag), img)
+            out = basic(BasicTransform(TransformId.IDENTITY, mag), img)
             np.testing.assert_array_equal(out, img)
 
     def test_solarize_magnitude_zero_is_noop(self):
         img = random_raster(2)
-        out = apply_basic(BasicTransform(TransformId.SOLARIZE, 0.0), img)
+        out = basic(BasicTransform(TransformId.SOLARIZE, 0.0), img)
         np.testing.assert_array_equal(out, img)
 
     def test_posterize_magnitude_zero_on_quantized_is_noop(self):
         img = quantized_raster(3)
-        out = apply_basic(BasicTransform(TransformId.POSTERIZE, 0.0), img)
+        out = basic(BasicTransform(TransformId.POSTERIZE, 0.0), img)
         np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_translate_x_matches_index_permutation_oracle(self):
@@ -42,7 +54,7 @@ class TestBasicTransforms:
         # so use a wider raster: 0.3*10*0.667 -> 2
         img = random_raster(4, h=4, w=10, c=1)
         t = BasicTransform(TransformId.TRANSLATE_X, 2.0 / 3.0, sign=1)
-        out = apply_basic(t, img)
+        out = basic(t, img)
         expected = np.full_like(img, GEOMETRIC_FILL)
         for y in range(4):
             for x in range(10):
@@ -53,14 +65,14 @@ class TestBasicTransforms:
     def test_translate_y_negative_sign(self):
         img = random_raster(5, h=10, w=4, c=1)
         t = BasicTransform(TransformId.TRANSLATE_Y, 2.0 / 3.0, sign=-1)
-        out = apply_basic(t, img)
+        out = basic(t, img)
         expected = np.full_like(img, GEOMETRIC_FILL)
         expected[:8] = img[2:]
         np.testing.assert_array_equal(out, expected)
 
     def test_unsupported_channel_count_rejected(self):
         with pytest.raises(ValueError):
-            apply_basic(BasicTransform(TransformId.IDENTITY, 0.5),
+            basic(BasicTransform(TransformId.IDENTITY, 0.5),
                         np.zeros((4, 4, 2)))
 
     def test_magnitude_range_validated(self):
@@ -71,32 +83,38 @@ class TestBasicTransforms:
 
     def test_autocontrast_rescales_to_full_range(self):
         img = random_raster(6) * 0.5 + 0.25
-        out = apply_basic(BasicTransform(TransformId.AUTOCONTRAST, 0.5), img)
+        out = basic(BasicTransform(TransformId.AUTOCONTRAST, 0.5), img)
         for c in range(3):
             assert abs(out[:, :, c].min()) < 1e-12
             assert abs(out[:, :, c].max() - 1.0) < 1e-12
 
     def test_autocontrast_noop_on_flat_channel(self):
         img = np.full((4, 4, 1), 0.3)
-        out = apply_basic(BasicTransform(TransformId.AUTOCONTRAST, 1.0), img)
+        out = basic(BasicTransform(TransformId.AUTOCONTRAST, 1.0), img)
         np.testing.assert_array_equal(out, img)
 
     def test_equalize_constant_image_is_noop(self):
         img = np.full((4, 4, 1), 0.7)
-        out = apply_basic(BasicTransform(TransformId.EQUALIZE, 0.5), img)
+        out = basic(BasicTransform(TransformId.EQUALIZE, 0.5), img)
         np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_equalize_two_level_oracle(self):
         # 16 dark + 48 bright pixels: cdf maps dark -> 0 and bright -> 255
         img = np.full((8, 8, 1), 200 / 255.0)
         img[:2, :, 0] = 90 / 255.0
-        out = apply_basic(BasicTransform(TransformId.EQUALIZE, 0.5), img)
+        out = basic(BasicTransform(TransformId.EQUALIZE, 0.5), img)
         np.testing.assert_allclose(out[:2, :, 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(out[2:, :, 0], 1.0, atol=1e-12)
 
+    def test_equalize_rejects_negative_pixels(self):
+        img = np.full((4, 4, 1), 0.5)
+        img[0, 0, 0] = -0.1
+        with pytest.raises(ValueError):
+            basic(BasicTransform(TransformId.EQUALIZE, 0.5), img)
+
     def test_solarize_inverts_above_threshold(self):
         img = np.array([[[0.2], [0.9]]])
-        out = apply_basic(BasicTransform(TransformId.SOLARIZE, 0.5), img)
+        out = basic(BasicTransform(TransformId.SOLARIZE, 0.5), img)
         assert out[0, 0, 0] == 0.2          # below threshold 0.5
         assert abs(out[0, 1, 0] - 0.1) < 1e-12  # inverted
 
@@ -109,7 +127,7 @@ class TestInvariants:
                 img = make_rng(61, int(tid), c).uniform(0, 1, size=(7, 9, c))
                 for mag in (0.0, 0.5, 1.0):
                     for sign in (-1, 1):
-                        out = apply_basic(BasicTransform(tid, mag, sign), img)
+                        out = basic(BasicTransform(tid, mag, sign), img)
                         assert out.shape == img.shape, tid
                         assert out.min() >= 0.0 and out.max() <= 1.0, tid
 
@@ -117,8 +135,8 @@ class TestInvariants:
         img = random_raster(7)
         for tid in ALL_IDS:
             t = BasicTransform(tid, 0.8, -1)
-            a = apply_basic(t, img)
-            b = apply_basic(t, img)
+            a = basic(t, img)
+            b = basic(t, img)
             np.testing.assert_array_equal(a, b)
 
     def test_geometric_magnitude_zero_neutrality(self):
@@ -128,7 +146,7 @@ class TestInvariants:
                            TransformId.SHEAR_Y, TransformId.TRANSLATE_X,
                            TransformId.TRANSLATE_Y)
         for tid in neutral_at_zero:
-            out = apply_basic(BasicTransform(tid, 0.0), img)
+            out = basic(BasicTransform(tid, 0.0), img)
             assert np.max(np.abs(out - img)) <= 1.0 / 255.0 + 1e-12, tid
 
     def test_enhancement_factor_one_neutrality(self):
@@ -136,7 +154,7 @@ class TestInvariants:
         img = quantized_raster(9)
         for tid in (TransformId.BRIGHTNESS, TransformId.COLOR,
                     TransformId.CONTRAST, TransformId.SHARPNESS):
-            out = apply_basic(BasicTransform(tid, 0.5), img)
+            out = basic(BasicTransform(tid, 0.5), img)
             assert np.max(np.abs(out - img)) <= 1.0 / 255.0 + 1e-12, tid
 
 
@@ -203,15 +221,15 @@ class TestComposite:
             BasicTransform(TransformId.IDENTITY, 0.3),
             BasicTransform(TransformId.IDENTITY, 0.9),
         ))
-        np.testing.assert_array_equal(apply_composite(comp, img), img)
+        np.testing.assert_array_equal(composite(comp, img), img)
 
     def test_composed_translations_add_away_from_fill(self):
         img = random_raster(15, h=8, w=16, c=1)
         m2 = 2.0 / (0.3 * 16)   # rounds to +2 px
         m4 = 4.0 / (0.3 * 16)   # rounds to +4 px
         t2 = BasicTransform(TransformId.TRANSLATE_X, m2, sign=1)
-        twice = apply_composite(CompositeAugmentation((t2, t2)), img)
-        once = apply_basic(BasicTransform(TransformId.TRANSLATE_X, m4, sign=1), img)
+        twice = composite(CompositeAugmentation((t2, t2)), img)
+        once = basic(BasicTransform(TransformId.TRANSLATE_X, m4, sign=1), img)
         # away from the filled left margin the results agree exactly
         np.testing.assert_array_equal(twice[:, 4:, :], once[:, 4:, :])
 
@@ -220,5 +238,57 @@ class TestComposite:
         rng = make_rng(17)
         for _ in range(20):
             comp = sample_composite(int(rng.integers(1, 6)), 1.0, rng)
-            out = apply_composite(comp, img)
+            out = composite(comp, img)
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestBatched:
+    @pytest.mark.parametrize("channels", (1, 3))
+    def test_batch_equals_batches_of_one(self, channels):
+        # both signs of every transform in one batch, interleaved
+        imgs = make_rng(64, channels).uniform(0.0, 1.0, size=(4, 7, 9, channels))
+        for tid in ALL_IDS:
+            comps = [CompositeAugmentation((BasicTransform(tid, 0.7, sign),))
+                     for sign in (1, -1, -1, 1)]
+            batched = apply_composite(comps, imgs)
+            for i, (comp, img) in enumerate(zip(comps, imgs)):
+                np.testing.assert_array_equal(batched[i], composite(comp, img),
+                                              err_msg=f"{tid.name} sample {i}")
+
+    def test_mixed_chains_equal_batches_of_one(self):
+        rng = make_rng(65)
+        comps = [sample_composite(int(rng.integers(1, 6)), 0.6, rng) for _ in range(12)]
+        imgs = make_rng(66).uniform(0.0, 1.0, size=(12, 9, 7, 3))
+        batched = apply_composite(comps, imgs)
+        for i, (comp, img) in enumerate(zip(comps, imgs)):
+            np.testing.assert_array_equal(batched[i], composite(comp, img))
+
+    def test_composite_count_must_match_batch(self):
+        comp = CompositeAugmentation((BasicTransform(TransformId.IDENTITY),))
+        with pytest.raises(ValueError):
+            apply_composite([comp], np.zeros((2, 4, 4, 1)))
+
+    def test_sweep_matches_recorded_output(self):
+        # sha256 of the per-image implementation's output, recorded before
+        # transforms were batched; the pixel math has no BLAS, so it is portable
+        outs = []
+        for c in (1, 3):
+            imgs = make_rng(61, c).uniform(0.0, 1.0, size=(3, 7, 9, c))
+            for tid in ALL_IDS:
+                for sign in (-1, 1):
+                    for mag in (0.5, 0.9):
+                        comp = CompositeAugmentation((BasicTransform(tid, mag, sign),))
+                        outs.append(apply_composite([comp] * 3, imgs))
+            rng = make_rng(62, c)
+            comps = [sample_composite(int(rng.integers(1, 5)), 0.7, rng) for _ in range(6)]
+            outs.append(apply_composite(comps, make_rng(63, c).uniform(0.0, 1.0,
+                                                                       size=(6, 7, 9, c))))
+        assert _sha256(*outs) == (
+            "00186f07eba711fb34a3b0eab99cfe22cec3cc97eff0015f051ff8ae14441cb5")

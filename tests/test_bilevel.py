@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cocor import pmnn
-from cocor.bilevel import (StepInfo, dacl,
+from cocor.augment import apply_composite, composition_vector, sample_composite
+from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch, dacl,
                            deviation_gap_coefficient, encoder_step,
                            hypergradient_oracle, init_train_state, pmnn_step,
                            probe_ce, probe_step, train)
 from cocor.config import RunConfig
-from cocor.data import synth_dataset
+from cocor.data import synth_dataset, weak_augment
 from cocor.encoder import EncoderConfig
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid
 
@@ -220,13 +222,12 @@ class TestDacl:
                 return self._vals
 
         # evaluate measured deviations first, then echo them back
-        from cocor.augment import apply_composite
         from cocor.encoder import encode_batch
         echo = Echo(state.enc_cfg, state.theta_e)
         vals = []
         for img, comp in probe_set:
             flat = img.reshape(1, -1)
-            aug = apply_composite(comp, img).reshape(1, -1)
+            aug = apply_composite([comp], img[None]).reshape(1, -1)
             _, zr, _ = encode_batch(state.enc_cfg, state.theta_e, flat)
             _, za, _ = encode_batch(state.enc_cfg, state.theta_e, aug)
             vals.append(float(np.sum(zr * za)))
@@ -240,13 +241,12 @@ class TestDacl:
 
     def test_constant_offset_gives_offset(self):
         state, probe_set = self._setup(17)
-        from cocor.augment import apply_composite
         from cocor.encoder import encode_batch
 
         omegas = []
         for img, comp in probe_set:
             flat = img.reshape(1, -1)
-            aug = apply_composite(comp, img).reshape(1, -1)
+            aug = apply_composite([comp], img[None]).reshape(1, -1)
             _, zr, _ = encode_batch(state.enc_cfg, state.theta_e, flat)
             _, za, _ = encode_batch(state.enc_cfg, state.theta_e, aug)
             omegas.append(float(np.sum(zr * za)))
@@ -261,7 +261,6 @@ class TestDacl:
 
     def test_matches_scalar_oracle(self):
         state, probe_set = self._setup(18)
-        from cocor.augment import apply_composite
         from cocor.encoder import encode_batch
         from cocor.pmnn import ConstantPredictor
 
@@ -269,7 +268,7 @@ class TestDacl:
         gaps = []
         for img, comp in probe_set:
             flat = img.reshape(1, -1)
-            aug = apply_composite(comp, img).reshape(1, -1)
+            aug = apply_composite([comp], img[None]).reshape(1, -1)
             _, zr, _ = encode_batch(state.enc_cfg, state.theta_e, flat)
             _, za, _ = encode_batch(state.enc_cfg, state.theta_e, aug)
             gaps.append(abs(float(np.sum(zr * za)) - 0.3))
@@ -280,6 +279,62 @@ class TestDacl:
         state, _ = self._setup(19)
         with pytest.raises(ValueError):
             dacl(state.enc_cfg, state.theta_e, None, [])
+
+
+VIEW_CFG = dict(classes=3, per_class=6, height=7, width=9, noise=0.1, hidden=(10, 8),
+                proj_hidden=8, embed_dim=4, pmnn_hidden=8, queue_capacity=16,
+                batch_size=5, lengths=(1, 2, 3))
+
+
+def view_instance(seed, channels):
+    cfg = RunConfig(**VIEW_CFG, channels=channels, seed=seed)
+    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
+                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
+    state = init_train_state(cfg, enc_cfg, total_steps=10)
+    ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width, cfg.noise,
+                       make_rng(seed, 55), channels=channels)
+    return cfg, state, ds.images[:cfg.batch_size]
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestBuildStepBatch:
+    # sha256 of (x_query, x_aug, v, lengths) from the per-sample implementation,
+    # recorded before view construction was batched; pixel math only, no BLAS
+    RECORDED = {
+        (3, 1): "e37a0a2ec998ad4291a79bfa6504e6981375682a704bf4f2d4a24aa8feee8232",
+        (3, 3): "7197e7a957b1c90c9e79a4642df74cc3be0fa02ecec5ee69a26d4591330a6196",
+        (2**33 + 1, 1): "b98a12e62e87d2605d89f061192dcf0654e6d4677fcc107d34722a9f4141bf28",
+        (2**33 + 1, 3): "75383ee0d5c0d00fcfef0c0de328ac8e9ea609b4c19c507fe774d5cacb10e484",
+    }
+
+    @pytest.mark.parametrize("seed,channels", sorted(RECORDED))
+    def test_views_match_recorded_output(self, seed, channels):
+        cfg, state, imgs = view_instance(seed, channels)
+        b = build_step_batch(state, cfg, imgs, stream=5, step_tag=7)
+        assert _sha256(b.x_query, b.x_aug, b.v, b.lengths) == self.RECORDED[seed, channels]
+
+    @pytest.mark.parametrize("channels", (1, 3))
+    def test_each_sample_equals_its_batch_of_one(self, channels):
+        cfg, state, imgs = view_instance(2**32 + 9, channels)
+        b = build_step_batch(state, cfg, imgs, stream=5, step_tag=4)
+        for i in range(imgs.shape[0]):
+            path = (cfg.seed, 5, 4, i)
+            one = imgs[i:i + 1]
+            query = weak_augment(one, [make_rng(*path, ROLE_QUERY)])
+            rng = make_rng(*path, ROLE_COMPOSITE)
+            comp = sample_composite(int(rng.choice(np.asarray(cfg.lengths))),
+                                    cfg.magnitude, rng)
+            np.testing.assert_array_equal(b.x_query[i], query.reshape(-1))
+            np.testing.assert_array_equal(b.x_aug[i],
+                                          apply_composite([comp], one).reshape(-1))
+            np.testing.assert_array_equal(b.v[i], composition_vector(comp))
+            assert b.lengths[i] == len(comp)
 
 
 class TestTrain:

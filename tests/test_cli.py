@@ -65,6 +65,12 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(bad)]) == 1
         assert "tau" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_naming_seed(self, tiny_config, tmp_path, capsys):
+        code = main(["pretrain", "--config", tiny_config, "--seed", "-1",
+                     "--out", str(tmp_path / "neg")])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")

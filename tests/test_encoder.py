@@ -106,7 +106,7 @@ class TestLatentDeviation:
         comp = CompositeAugmentation((BasicTransform(TransformId.ROTATE, 0.6, 1),))
         dev = latent_deviation(CFG, params, img, comp)
         _, z_raw = encode(CFG, params, img)
-        _, z_aug = encode(CFG, params, apply_composite(comp, img))
+        _, z_aug = encode(CFG, params, apply_composite([comp], img[None])[0])
         assert abs(dev - float(z_raw @ z_aug)) < 1e-12
 
     def test_bounded_by_one(self):

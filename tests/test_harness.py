@@ -129,16 +129,16 @@ class TestIdx:
 class TestWeakAugment:
     def test_deterministic_given_seed(self):
         img = make_rng(8, 101).uniform(0, 1, size=(6, 6, 3))
-        a = weak_augment(img, make_rng(9, 1))
-        b = weak_augment(img, make_rng(9, 1))
+        a = weak_augment(img[None], [make_rng(9, 1)])
+        b = weak_augment(img[None], [make_rng(9, 1)])
         np.testing.assert_array_equal(a, b)
 
     def test_range_preserved(self):
         img = make_rng(10, 101).uniform(0, 1, size=(6, 6, 1))
         for s in range(20):
-            out = weak_augment(img, make_rng(11, s))
+            out = weak_augment(img[None], [make_rng(11, s)])
             assert out.min() >= 0.0 and out.max() <= 1.0
-            assert out.shape == img.shape
+            assert out.shape == (1, *img.shape)
 
 
 SMALL = dict(classes=3, per_class=16, height=6, width=6, channels=1, noise=0.1,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cocor.numcore import (ParamSet, SgdState, affine_forward, cosine_lr, grad_check,
-                           make_rng, sgd_step, sigmoid, softplus)
+                           make_rng, path_rngs, philox_keys, sgd_step, sigmoid, softplus)
 
 
 class TestAffine:
@@ -174,3 +174,39 @@ def test_make_rng_is_path_deterministic():
     c = make_rng(1, 2, 4).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Seed paths on each side of SeedSequence's four-word pool, with zero entries
+# and master seeds that take two or three 32-bit words.
+SEED_PATHS = [
+    (0, 0), (7, 3), (2**32, 5), (2**32 - 1, 0),
+    (0, 5, 0), (11, 2**32 + 3, 4), (2**64 + 5, 1, 2),
+    (3, 5, 17, 42, 2), (0, 0, 0, 0, 0), (2**33 + 1, 5, 7, 0, 1),
+    (1, 2, 3, 4, 5, 6), (2**40, 0, 9, 63, 2, 1), (0, 0, 0, 0, 0, 0),
+]
+
+
+class TestPathRngs:
+    @pytest.mark.parametrize("path", SEED_PATHS)
+    def test_key_equals_numpy_seed_sequence(self, path):
+        oracle = np.random.Philox(np.random.SeedSequence(path)).state["state"]["key"]
+        np.testing.assert_array_equal(philox_keys([path])[0], oracle)
+
+    def test_mixed_path_lengths_in_one_call(self):
+        keys = philox_keys(SEED_PATHS)
+        assert keys.shape == (len(SEED_PATHS), 2) and keys.dtype == np.uint64
+        for path, key in zip(SEED_PATHS, keys):
+            oracle = np.random.Philox(np.random.SeedSequence(path)).state["state"]["key"]
+            np.testing.assert_array_equal(key, oracle)
+
+    def test_draws_equal_make_rng(self):
+        for path, rng in zip(SEED_PATHS, path_rngs(SEED_PATHS), strict=True):
+            ref = make_rng(*path)
+            assert rng.random() == ref.random()
+            np.testing.assert_array_equal(rng.integers(0, 14, size=3),
+                                          ref.integers(0, 14, size=3))
+            np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            philox_keys([(1, -2)])

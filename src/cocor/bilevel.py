@@ -34,7 +34,7 @@ from .augment import (POOL_SIZE, CompositeAugmentation, apply_composite, composi
 from .config import RunConfig
 from .data import Dataset, weak_augment
 from .encoder import (EncoderConfig, encode_backward, encode_batch, init_encoder_params,
-                      momentum_update)
+                      latent_deviation, momentum_update)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
 from .numcore import ParamSet, SgdState, make_rng, path_rngs, sgd_step
@@ -202,8 +202,8 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
         d_zr = d_omega[:, None] * z_aug
         d_za = d_omega[:, None] * z_raw
         grads = encode_backward(enc_cfg, theta, cache_q, d_z=d_zq)
-        grads = grads.add_scaled(encode_backward(enc_cfg, theta, cache_r, d_z=d_zr), 1.0)
-        grads = grads.add_scaled(encode_backward(enc_cfg, theta, cache_a, d_z=d_za), 1.0)
+        grads.flat += encode_backward(enc_cfg, theta, cache_r, d_z=d_zr).flat
+        grads.flat += encode_backward(enc_cfg, theta, cache_a, d_z=d_za).flat
     return UnsupEval(lu=lu, lc=lc, lcons=lcons, simi=simi, k_pooled=k_pooled,
                      k_by_length=k_by_length, grads=grads, zero_norms=zero_norms)
 
@@ -216,14 +216,22 @@ def simi_and_grad(enc_cfg: EncoderConfig, theta: ParamSet, x_raw: np.ndarray,
     omega = np.sum(z_raw * z_aug, axis=1)
     n = omega.size
     grads = encode_backward(enc_cfg, theta, cache_r, d_z=z_aug / n)
-    grads = grads.add_scaled(encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n), 1.0)
+    grads.flat += encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n).flat
     return float(np.mean(omega)), grads
 
 
 def probe_logits(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
                  x: np.ndarray):
     features, _, cache = encode_batch(enc_cfg, theta_e, x)
-    return features @ probe["w"] + probe["b"], features, cache
+    return features @ probe["w"] + probe["b"], cache
+
+
+def head_ce(head: ParamSet, features: np.ndarray,
+            labels: np.ndarray) -> tuple[float, ParamSet]:
+    """Cross-entropy of an affine head {"w", "b"} on fixed features, and its
+    gradient with respect to the head."""
+    ce, d_logits = cross_entropy(features @ head["w"] + head["b"], labels)
+    return ce, ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
 
 
 def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
@@ -234,7 +242,7 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
     Never mutates theta_e; the optional gradient is a measurement used by the
     hypergradient oracle, not an update path.
     """
-    logits, _, cache = probe_logits(enc_cfg, theta_e, probe, x)
+    logits, cache = probe_logits(enc_cfg, theta_e, probe, x)
     ce, d_logits = cross_entropy(logits, labels)
     if not want_encoder_grad:
         return ce, None
@@ -279,9 +287,8 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
 
 def probe_step(state: TrainState, x: np.ndarray, labels: np.ndarray) -> float:
     """One SGD step on the probe over frozen backbone features."""
-    logits, features, _ = probe_logits(state.enc_cfg, state.theta_e, state.probe, x)
-    ce, d_logits = cross_entropy(logits, labels)
-    grads = ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
+    features, _, _ = encode_batch(state.enc_cfg, state.theta_e, x)
+    ce, grads = head_ce(state.probe, features, labels)
     state.probe = sgd_step(state.probe, grads, state.opt_probe)
     return ce
 
@@ -331,7 +338,7 @@ def hypergradient_oracle(state: TrainState, cfg: RunConfig, info: StepInfo,
                           labels, want_encoder_grad=True)
     _, grad_simi = simi_and_grad(state.enc_cfg, info.theta_before,
                                  info.batch.x_raw, info.batch.x_aug)
-    inner = float(grad_ce.to_flat() @ grad_simi.to_flat())
+    inner = float(grad_ce.flat @ grad_simi.flat)
     scalar = info.lr_used * deviation_gap_coefficient(info.before.k_pooled) * inner
     grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
     return grad_g.scale(scalar), scalar, grad_g
@@ -348,11 +355,7 @@ def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predictor,
     gaps = []
     # one row per encode: a different row count can change BLAS rounding
     for img, aug, (_, comp) in zip(imgs, augmented, probe_set):
-        flat = _flatten(img[None])
-        aug_flat = _flatten(aug[None])
-        _, z_raw, _ = encode_batch(enc_cfg, theta_e, flat)
-        _, z_aug, _ = encode_batch(enc_cfg, theta_e, aug_flat)
-        omega = float(np.sum(z_raw * z_aug))
+        omega = latent_deviation(enc_cfg, theta_e, img, aug)
         g = float(predictor.predict_batch(composition_vector(comp)[None])[0])
         gaps.append(abs(omega - g))
     return float(np.mean(gaps))
@@ -420,7 +423,7 @@ def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int,
 
 def probe_accuracy(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
                    x: np.ndarray, labels: np.ndarray) -> float:
-    logits, _, _ = probe_logits(enc_cfg, theta_e, probe, x)
+    logits, _ = probe_logits(enc_cfg, theta_e, probe, x)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

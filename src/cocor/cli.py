@@ -116,6 +116,8 @@ def cmd_ablate_pmnn(args) -> int:
 def cmd_grad_check(args) -> int:
     from .gradsuite import run_gradient_suite
 
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_gradient_suite(seed=args.seed)
     failed = False
     for name, err in results.items():

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import augment
 from ._util import atomic_write_bytes
 from .numcore import ParamSet, affine_backward, affine_forward, glorot_uniform, relu, relu_grad
 
@@ -111,19 +110,13 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     return features, z, cache
 
 
-def encode(cfg: EncoderConfig, params: ParamSet,
-           img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-raster convenience wrapper: returns (features, z) as vectors."""
-    flat = augment.validate_batch(np.asarray(img)[None]).reshape(1, -1)
-    features, z, _ = encode_batch(cfg, params, flat)
-    return features[0], z[0]
-
-
 def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
                     d_z: np.ndarray | None = None,
                     d_features: np.ndarray | None = None) -> ParamSet:
     """Parameter gradients given cotangents on z and/or features."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads = params.zeros_like()
+    # in-place += on views of the zero vector stores 0 + d (so never -0.0)
+    views = dict(grads.items())
 
     d_feat_total = np.zeros_like(cache.features)
     if d_features is not None:
@@ -136,12 +129,12 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
         d_p1 = (d_z - z * inner) / norms[:, None]
 
         d_a0, d_w, d_b = affine_backward(d_p1, cache.proj_hidden_act, params["proj1.w"])
-        grads["proj1.w"] += d_w
-        grads["proj1.b"] += d_b
+        views["proj1.w"] += d_w
+        views["proj1.b"] += d_b
         d_p0 = d_a0 * relu_grad(cache.proj_pre[0])
         d_feat, d_w, d_b = affine_backward(d_p0, cache.features, params["proj0.w"])
-        grads["proj0.w"] += d_w
-        grads["proj0.b"] += d_b
+        views["proj0.w"] += d_w
+        views["proj0.b"] += d_b
         d_feat_total += d_feat
 
     d_h = d_feat_total
@@ -149,19 +142,20 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
         d_pre = d_h * relu_grad(cache.pre_acts[i])
         below = cache.hidden_acts[i - 1] if i > 0 else cache.x
         d_h, d_w, d_b = affine_backward(d_pre, below, params[f"bb{i}.w"])
-        grads[f"bb{i}.w"] += d_w
-        grads[f"bb{i}.b"] += d_b
+        views[f"bb{i}.w"] += d_w
+        views[f"bb{i}.b"] += d_b
 
-    return ParamSet(grads)
+    return grads
 
 
 def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
-                     aug: augment.CompositeAugmentation) -> float:
-    """Cosine similarity between the embeddings of the raw image and its
-    augmented view; in [-1, 1] since both are unit vectors."""
-    _, z_raw = encode(cfg, params, img)
-    _, z_aug = encode(cfg, params, augment.apply_composite([aug], np.asarray(img)[None])[0])
-    return float(np.dot(z_raw, z_aug))
+                     augmented: np.ndarray) -> float:
+    """Cosine similarity between the embeddings of a raster and its augmented
+    view; in [-1, 1] since both are unit vectors. Each raster is encoded as a
+    batch of one row, so the value does not depend on any batch around it."""
+    _, z_raw, _ = encode_batch(cfg, params, np.reshape(img, (1, -1)))
+    _, z_aug, _ = encode_batch(cfg, params, np.reshape(augmented, (1, -1)))
+    return float(np.sum(z_raw * z_aug))
 
 
 def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> ParamSet:
@@ -169,7 +163,7 @@ def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> ParamSet:
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum coefficient must lie in [0, 1]")
     theta_k._check_compatible(theta_q)
-    return ParamSet({k: m * v + (1.0 - m) * theta_q[k] for k, v in theta_k.items()})
+    return theta_k.like(m * theta_k.flat + (1.0 - m) * theta_q.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +213,12 @@ def load_checkpoint(path: str) -> ParamSet:
     for _ in range(count):
         (name_len,) = cur.u32()
         name = cur.grab(name_len).decode("utf-8")
+        if name in segments:
+            raise ValueError(f"{path}: repeated segment name {name!r}")
         (ndim,) = cur.u32()
         shape = cur.u32(ndim) if ndim else ()
         n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(cur.grab(8 * n), dtype="<f8").reshape(shape)
-        segments[name] = arr.astype(np.float64)
+        segments[name] = np.frombuffer(cur.grab(8 * n), dtype="<f8").reshape(shape)
     if cur.pos != len(cur.data):
         raise ValueError(f"{path}: trailing bytes after last segment")
     return ParamSet(segments)

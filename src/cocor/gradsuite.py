@@ -14,7 +14,7 @@ from . import bilevel, pmnn
 from .config import VARIANTS, RunConfig
 from .encoder import EncoderConfig, encode_backward, encode_batch, init_encoder_params
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
-                     contrastive_loss, cross_entropy)
+                     contrastive_loss)
 from .numcore import ParamSet, grad_check, make_rng
 
 TINY_ENC = EncoderConfig(input_dim=10, hidden=(8, 6), proj_hidden=5, embed_dim=4)
@@ -66,36 +66,33 @@ def check_consistency_softplus(seed: int = 0) -> float:
     return _check_consistency(consistency_loss_softplus, seed)
 
 
+def _tiny_probe(rng) -> ParamSet:
+    return ParamSet({"w": rng.standard_normal((TINY_ENC.feature_dim, 3)) * 0.3,
+                     "b": rng.standard_normal(3) * 0.1})
+
+
 def check_cross_entropy_probe(seed: int = 0) -> float:
+    """``bilevel.head_ce``: the probe and linear-eval head gradient."""
     rng, params, _, x_raw, _, _, _ = _tiny_setup(seed)
     features, _, _ = encode_batch(TINY_ENC, params, x_raw)
-    probe = ParamSet({"w": rng.standard_normal((TINY_ENC.feature_dim, 3)) * 0.3,
-                      "b": rng.standard_normal(3) * 0.1})
+    probe = _tiny_probe(rng)
     labels = np.array([0, 2, 1])
-
-    def loss_fn(p: ParamSet) -> float:
-        loss, _ = cross_entropy(features @ p["w"] + p["b"], labels)
-        return loss
-
-    _, d_logits = cross_entropy(features @ probe["w"] + probe["b"], labels)
-    analytic = ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
-    return grad_check(loss_fn, probe, analytic)
+    _, analytic = bilevel.head_ce(probe, features, labels)
+    return grad_check(lambda p: bilevel.head_ce(p, features, labels)[0], probe, analytic)
 
 
 def check_cross_entropy_encoder(seed: int = 0) -> float:
+    """``bilevel.probe_ce``: labeled cross-entropy through the encoder, with
+    the encoder gradient the hypergradient oracle uses."""
     rng, params, _, x_raw, _, _, _ = _tiny_setup(seed)
-    w = rng.standard_normal((TINY_ENC.feature_dim, 3)) * 0.3
-    b = rng.standard_normal(3) * 0.1
+    probe = _tiny_probe(rng)
     labels = np.array([0, 2, 1])
 
     def loss_fn(p: ParamSet) -> float:
-        features, _, _ = encode_batch(TINY_ENC, p, x_raw)
-        loss, _ = cross_entropy(features @ w + b, labels)
-        return loss
+        return bilevel.probe_ce(TINY_ENC, p, probe, x_raw, labels)[0]
 
-    features, _, cache = encode_batch(TINY_ENC, params, x_raw)
-    _, d_logits = cross_entropy(features @ w + b, labels)
-    analytic = encode_backward(TINY_ENC, params, cache, d_features=d_logits @ w.T)
+    _, analytic = bilevel.probe_ce(TINY_ENC, params, probe, x_raw, labels,
+                                   want_encoder_grad=True)
     return grad_check(loss_fn, params, analytic)
 
 

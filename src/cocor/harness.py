@@ -20,7 +20,6 @@ from ._util import atomic_write_bytes, atomic_write_text
 from .config import RunConfig
 from .data import Dataset, synth_dataset
 from .encoder import EncoderConfig, encode_batch
-from .losses import cross_entropy
 from .numcore import ParamSet, SgdState, make_rng, sgd_step
 
 STREAM_EVAL = 8
@@ -69,9 +68,7 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
         perm = make_rng(seed, STREAM_EVAL, epoch).permutation(n)
         for it in range(steps_per_epoch):
             idx = perm[it * batch:(it + 1) * batch]
-            logits = train_x[idx] @ classifier["w"] + classifier["b"]
-            _, d_logits = cross_entropy(logits, train_y[idx])
-            grads = ParamSet({"w": train_x[idx].T @ d_logits, "b": d_logits.sum(axis=0)})
+            _, grads = bilevel.head_ce(classifier, train_x[idx], train_y[idx])
             classifier = sgd_step(classifier, grads, opt)
 
     logits = test_x @ classifier["w"] + classifier["b"]

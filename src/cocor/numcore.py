@@ -1,8 +1,11 @@
-"""Dense numerical core: named parameter sets, layer primitives, momentum SGD
-with cosine decay, and a central-difference gradient checker.
+"""Dense numerical core: parameter sets, layer primitives, momentum SGD with
+cosine decay, and a central-difference gradient checker.
 
-Matrices are plain 2-D float64 numpy arrays; everything here is pure except
-optimizer state, which is single-owner. All randomness flows through
+Matrices are plain 2-D float64 numpy arrays. A parameter set is one
+contiguous float64 vector with named, reshaped views of its segments, so
+copying, scaling, updating, and checking a whole set are single vector
+operations. Everything here is pure except optimizer state, which is
+single-owner. All randomness flows through
 counter-based generators derived from integer seed paths (see ``make_rng``;
 ``path_rngs`` gives the same generators for many paths at once), so runs are
 bit-reproducible.
@@ -135,87 +138,70 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class ParamSet:
-    """Ordered mapping of unique segment names to float64 arrays.
+    """Named segments stored as reshaped views of one contiguous float64 vector.
 
-    The flattened view concatenates segments in insertion order, each in
-    row-major (C) order; that ordering is the contract for gradient checking
-    and checkpoints.
+    ``flat`` is that vector: the segments in insertion order, each in
+    row-major (C) order. That layout is the contract for gradient checking
+    and checkpoints. The views alias ``flat``, so writing into a segment in
+    place writes into the vector; every operation on whole sets is one
+    operation on ``flat``. ``ParamSet(segments)`` copies its arrays in.
     """
 
     def __init__(self, segments: dict[str, np.ndarray]):
-        self._segments: dict[str, np.ndarray] = {}
-        for name, arr in segments.items():
-            if name in self._segments:
-                raise ValueError(f"duplicate segment name {name!r}")
-            self._segments[name] = np.asarray(arr, dtype=np.float64)
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in segments.items()}
+        self._bind(tuple((name, arr.shape) for name, arr in arrays.items()),
+                   np.empty(sum(arr.size for arr in arrays.values())))
+        for name, arr in arrays.items():
+            self._views[name][...] = arr
+
+    def _bind(self, layout: tuple, flat: np.ndarray) -> None:
+        self.layout = layout    # ((name, shape), ...) in insertion order
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        pos = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self._views[name] = flat[pos:pos + size].reshape(shape)
+            pos += size
+        if pos != flat.size:
+            raise ValueError(f"flat vector has {flat.size} entries, the layout {pos}")
+
+    def like(self, flat: np.ndarray) -> "ParamSet":
+        """A set with this layout over ``flat`` itself (no copy)."""
+        out = ParamSet.__new__(ParamSet)
+        out._bind(self.layout, flat)
+        return out
 
     def names(self) -> list[str]:
-        return list(self._segments)
+        return list(self._views)
 
     def items(self):
-        return self._segments.items()
+        return self._views.items()
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._segments[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        if name in self._segments and value.shape != self._segments[name].shape:
-            raise ValueError(
-                f"segment {name!r}: shape {value.shape} != {self._segments[name].shape}")
-        self._segments[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._segments
+        return self._views[name]
 
     def __len__(self) -> int:
-        return len(self._segments)
-
-    @property
-    def size(self) -> int:
-        return sum(a.size for a in self._segments.values())
+        return len(self._views)
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._segments.items()})
+        return self.like(self.flat.copy())
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self._segments.items()})
-
-    def to_flat(self) -> np.ndarray:
-        if not self._segments:
-            return np.zeros(0)
-        return np.concatenate([a.ravel() for a in self._segments.values()])
-
-    def with_flat(self, flat: np.ndarray) -> "ParamSet":
-        """Rebuild a ParamSet with the same names/shapes from a flat vector."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.size:
-            raise ValueError(f"flat vector has {flat.size} entries, need {self.size}")
-        out, pos = {}, 0
-        for name, arr in self._segments.items():
-            out[name] = flat[pos:pos + arr.size].reshape(arr.shape).copy()
-            pos += arr.size
-        return ParamSet(out)
-
-    def _check_compatible(self, other: "ParamSet") -> None:
-        if self.names() != other.names():
-            raise ValueError("parameter sets have different segments")
-        for name, arr in self._segments.items():
-            if arr.shape != other[name].shape:
-                raise ValueError(f"segment {name!r}: shape mismatch")
-
-    def add_scaled(self, other: "ParamSet", alpha: float) -> "ParamSet":
-        """self + alpha * other, elementwise per segment."""
-        self._check_compatible(other)
-        return ParamSet({k: v + alpha * other[k] for k, v in self._segments.items()})
+        return self.like(np.zeros_like(self.flat))
 
     def scale(self, alpha: float) -> "ParamSet":
-        return ParamSet({k: alpha * v for k, v in self._segments.items()})
+        return self.like(alpha * self.flat)
+
+    def _check_compatible(self, other: "ParamSet") -> None:
+        if self.layout != other.layout:
+            raise ValueError(f"parameter layouts differ: {self.layout} vs {other.layout}")
 
     def check_finite(self, context: str = "") -> None:
-        for name, arr in self._segments.items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in segment {name!r} {context}")
+        if np.isfinite(self.flat).all():
+            return
+        name = next(n for n, view in self._views.items() if not np.isfinite(view).all())
+        raise FloatingPointError(f"non-finite values in segment {name!r} {context}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +280,15 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 @dataclass
 class SgdState:
-    """Momentum-SGD state: per-segment velocity buffers plus schedule phase."""
+    """Momentum-SGD state: the velocity vector (laid out as the parameters'
+    ``flat``) plus schedule phase."""
 
     base_lr: float
     momentum: float
     weight_decay: float
     step: int
     total_steps: int
-    buffers: ParamSet
+    buffers: np.ndarray
 
     @classmethod
     def init(cls, params: ParamSet, base_lr: float, momentum: float = 0.0,
@@ -309,7 +296,7 @@ class SgdState:
         if base_lr <= 0:
             raise ValueError("base_lr must be positive")
         return cls(base_lr=base_lr, momentum=momentum, weight_decay=weight_decay,
-                   step=0, total_steps=total_steps, buffers=params.zeros_like())
+                   step=0, total_steps=total_steps, buffers=np.zeros_like(params.flat))
 
     def current_lr(self) -> float:
         return cosine_lr(self.base_lr, self.step, self.total_steps)
@@ -319,18 +306,20 @@ def sgd_step(params: ParamSet, grads: ParamSet, state: SgdState) -> ParamSet:
     """One momentum-SGD step with weight decay and cosine-scheduled lr.
 
     v <- momentum * v + (grad + wd * p);  p <- p - lr_t * v.
-    Advances ``state`` (buffers and step counter) in place.
+    Returns new parameters; advances ``state`` (velocity and step counter)
+    in place, its single owner.
     """
     params._check_compatible(grads)
     lr = state.current_lr()
-    new = {}
-    for name, p in params.items():
-        g = grads[name] + state.weight_decay * p
-        v = state.momentum * state.buffers[name] + g
-        state.buffers[name] = v
-        new[name] = p - lr * v
+    step = state.weight_decay * params.flat
+    step += grads.flat
+    state.buffers *= state.momentum
+    state.buffers += step
+    # the new parameters reuse the step buffer: p - lr_t * v
+    np.multiply(lr, state.buffers, out=step)
+    np.subtract(params.flat, step, out=step)
     state.step += 1
-    out = ParamSet(new)
+    out = params.like(step)
     out.check_finite("after sgd_step")
     return out
 
@@ -344,24 +333,25 @@ def grad_check(loss_fn, params: ParamSet, analytic: ParamSet, h: float = 1e-4) -
 
     Per coordinate: numeric = (f(p+h) - f(p-h)) / 2h, error =
     |analytic - numeric| / max(1e-8, |numeric|). ``loss_fn`` must be a
-    deterministic scalar function of the ParamSet. The default step balances
+    deterministic scalar function of the ParamSet. It is called with one
+    copy of ``params`` whose vector is perturbed in place, one coordinate at
+    a time; ``params`` itself is never written. The default step balances
     truncation against roundoff for losses of order one.
     """
-    flat = params.to_flat()
-    analytic_flat = analytic.to_flat()
-    if analytic_flat.size != flat.size:
-        raise ValueError("analytic gradient size mismatch")
+    params._check_compatible(analytic)
+    probe = params.copy()
+    flat = probe.flat
     numeric = np.empty(flat.size)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        f_plus = float(loss_fn(params.with_flat(flat)))
+        f_plus = float(loss_fn(probe))
         flat[i] = orig - h
-        f_minus = float(loss_fn(params.with_flat(flat)))
+        f_minus = float(loss_fn(probe))
         flat[i] = orig
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise RuntimeError(f"non-finite loss while checking coordinate {i}")
         numeric[i] = (f_plus - f_minus) / (2.0 * h)
-    err = np.abs(analytic_flat - numeric) / np.maximum(1e-8, np.abs(numeric))
+    err = np.abs(analytic.flat - numeric) / np.maximum(1e-8, np.abs(numeric))
     # np.max propagates NaN: a non-finite analytic coordinate fails every tolerance
     return float(np.max(err, initial=0.0))

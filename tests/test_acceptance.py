@@ -161,8 +161,8 @@ def test_criterion_4_hypergradient_fidelity():
         if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
             continue
         n_valid += 1
-        applied = grad_g.scale(scalars.scalar).to_flat()
-        oracle_flat = oracle_grad.to_flat()
+        applied = grad_g.scale(scalars.scalar).flat
+        oracle_flat = oracle_grad.flat
         cos = float(applied @ oracle_flat
                     / (np.linalg.norm(applied) * np.linalg.norm(oracle_flat)))
         worst_cos_gap = max(worst_cos_gap, abs(abs(cos) - 1.0))
@@ -262,12 +262,12 @@ def test_criterion_9_stop_gradient_and_queue():
     ds = synth_dataset(3, 8, 6, 6, 0.1, make_rng(2, 55), channels=1)
     x = ds.images[:6].reshape(6, -1)
     y = ds.labels[:6]
-    snapshot = state.theta_e.to_flat().copy()
+    snapshot = state.theta_e.flat.copy()
     from cocor.bilevel import probe_ce
     for _ in range(5):
         probe_step(state, x, y)
     probe_ce(enc_cfg, state.theta_e, state.probe, x, y, want_encoder_grad=True)
-    stop_grad_ok = bool(np.array_equal(state.theta_e.to_flat(), snapshot))
+    stop_grad_ok = bool(np.array_equal(state.theta_e.flat, snapshot))
 
     # queue semantics: FIFO order, capacity bound, unit-norm admission
     rng = make_rng(1006)

@@ -61,8 +61,8 @@ class TestCoefficient:
 class TestEncoderStep:
     def test_zero_lr_leaves_encoder_but_advances_queue(self):
         cfg, state, imgs, _, _ = tiny_instance(1)
-        state.opt_e = SgdState(base_lr=0.0, momentum=0.9, weight_decay=0.0,
-                               step=0, total_steps=0, buffers=state.theta_e.zeros_like())
+        state.opt_e = SgdState(base_lr=0.0, momentum=0.9, weight_decay=0.0, step=0,
+                               total_steps=0, buffers=np.zeros_like(state.theta_e.flat))
         before = state.theta_e.copy()
         fill0 = state.queue.fill
         encoder_step(state, cfg, imgs, step_tag=0)
@@ -86,10 +86,10 @@ class TestEncoderStep:
         cfg, state, imgs, _, _ = tiny_instance(4)
         theta_k_before = state.theta_k.copy()
         encoder_step(state, cfg, imgs, step_tag=0)
-        expected = theta_k_before.scale(cfg.momentum_coef).add_scaled(
-            state.theta_e, 1.0 - cfg.momentum_coef)
-        for name in expected.names():
-            np.testing.assert_allclose(state.theta_k[name], expected[name], atol=1e-12)
+        m = cfg.momentum_coef
+        for name in theta_k_before.names():
+            expected = m * theta_k_before[name] + (1.0 - m) * state.theta_e[name]
+            np.testing.assert_allclose(state.theta_k[name], expected, atol=1e-12)
 
 
 class TestPmnnStep:
@@ -131,10 +131,10 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(8)
         info = encoder_step(state, cfg, imgs, step_tag=0)
         theta_d_before = state.theta_d.copy()
-        grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).to_flat()
+        grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
         scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
         assert not scalars.guard_triggered and scalars.scalar != 0.0
-        delta = state.theta_d.to_flat() - theta_d_before.to_flat()
+        delta = state.theta_d.flat - theta_d_before.flat
         cos = delta @ grad_g / (np.linalg.norm(delta) * np.linalg.norm(grad_g))
         assert abs(abs(cos) - 1.0) < 1e-9
 
@@ -198,8 +198,8 @@ class TestOracle:
         info = encoder_step(state, cfg, imgs, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, cfg, info, x_lab, y_lab)
-        np.testing.assert_allclose(oracle_grad.to_flat(),
-                                   oracle_scalar * grad_g.to_flat(), atol=1e-15)
+        np.testing.assert_allclose(oracle_grad.flat,
+                                   oracle_scalar * grad_g.flat, atol=1e-15)
 
 
 class TestDacl:
@@ -358,8 +358,8 @@ class TestTrain:
         cfg = self._cfg()
         s1, m1 = train(cfg, self._dataset(cfg))
         s2, m2 = train(cfg, self._dataset(cfg))
-        np.testing.assert_array_equal(s1.theta_e.to_flat(), s2.theta_e.to_flat())
-        np.testing.assert_array_equal(s1.theta_d.to_flat(), s2.theta_d.to_flat())
+        np.testing.assert_array_equal(s1.theta_e.flat, s2.theta_e.flat)
+        np.testing.assert_array_equal(s1.theta_d.flat, s2.theta_d.flat)
         assert len(m1) == len(m2)
         for a, b in zip(m1, m2):
             assert a.l_u == b.l_u and a.ce == b.ce and a.k_by_length == b.k_by_length

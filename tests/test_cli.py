@@ -1,11 +1,15 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from cocor import gradsuite
 from cocor.cli import main
 from cocor.config import RunConfig, load_config, resolved_text
 from cocor.data import load_idx
+from cocor.encoder import save_checkpoint
+from cocor.numcore import ParamSet
 
 TINY_CFG = """
 # tiny smoke-test run
@@ -23,6 +27,21 @@ batch_size = 4
 epochs = 2
 eval_epochs = 20
 """
+
+# Criterion 8's config. The digests of its seed-11 outputs were recorded with
+# per-segment parameter arrays, before parameter sets became one flat vector;
+# they pin that the flat layout changed no bit (numpy 2.4, OpenBLAS, x86-64).
+DETERMINISM_CFG = (
+    "classes = 4\nper_class = 24\nheight = 8\nwidth = 8\nnoise = 0.15\n"
+    "hidden = 32,16\nproj_hidden = 12\nembed_dim = 8\npmnn_hidden = 8\n"
+    "queue_capacity = 16\nbatch_size = 8\nepochs = 3\neval_epochs = 10\n")
+PINNED_DIGESTS = [
+    ("", ("c3d324d729a4bf732ad9e3c553634d67ebcc21c6f30d84a869448905186d1182",
+          "a4a6918f24a6cc3e1a1829dd5f877d42c5eddfd538df3f6e156084006b9218f4")),
+    ("alternation = epoch\nvariant = abs\n",
+     ("5ebc7797e3d7c0e126f81afc59cd2ffe03482d94295276af88097347aa19161f",
+      "8cd030a5a221366a45f0797a77dd79da8ab154161cb5ff75372d233290f9c8bf")),
+]
 
 
 @pytest.fixture
@@ -43,6 +62,15 @@ class TestPretrain:
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
+
+    @pytest.mark.parametrize("extra, digests", PINNED_DIGESTS)
+    def test_outputs_match_pinned_digests(self, tmp_path, extra, digests):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(DETERMINISM_CFG + extra)
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+        for name, digest in zip(("metrics.jsonl", "checkpoint.ccor"), digests):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_resolved_config_round_trips(self, tiny_config, tmp_path):
         out = str(tmp_path / "run")
@@ -83,6 +111,11 @@ class TestOtherCommands:
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out
         assert "max rel err" in out and "FAIL" not in out
+
+    def test_grad_check_negative_seed_exits_one_naming_seed(self, capsys):
+        assert main(["grad-check", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "-1" in err
 
     def test_grad_check_nan_error_exits_two(self, monkeypatch, capsys):
         monkeypatch.setitem(gradsuite._CHECKS, "cross_entropy_probe",
@@ -129,6 +162,18 @@ class TestOtherCommands:
 
     def test_unknown_command_is_validation_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_checkpoint_repeated_segment_exits_one(self, tiny_config, tmp_path, capsys):
+        # two segments, both named encoder.bb0.w: the second must not win
+        path = tmp_path / "dup.ccor"
+        save_checkpoint(str(path), ParamSet({"encoder.bb0.w": np.ones((36, 10)),
+                                             "encoder.bb0.v": np.ones(10)}))
+        path.write_bytes(path.read_bytes().replace(b"bb0.v", b"bb0.w"))
+        code = main(["eval-linear", "--config", tiny_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dup.ccor" in err and "encoder.bb0.w" in err
 
     def test_checkpoint_missing_exits_one(self, tiny_config, tmp_path, capsys):
         code = main(["eval-linear", "--config", tiny_config,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cocor.augment import BasicTransform, CompositeAugmentation, TransformId
-from cocor.encoder import (EncoderConfig, encode, encode_backward, encode_batch,
+from cocor.augment import (BasicTransform, CompositeAugmentation, TransformId,
+                           apply_composite, sample_composite)
+from cocor.encoder import (EncoderConfig, encode_backward, encode_batch,
                            init_encoder_params, latent_deviation, load_checkpoint,
                            momentum_update, save_checkpoint)
 from cocor.gradsuite import check_cross_entropy_encoder
@@ -28,13 +29,9 @@ class TestEncode:
 
     def test_zero_weights_nonzero_bias_constant_embedding(self):
         params = params_for(3)
-        for name in params.names():
-            if name.endswith(".w"):
-                params[name] = np.zeros_like(params[name])
-            else:
-                params[name] = np.zeros_like(params[name])
+        params.flat[:] = 0.0
         b = np.array([0.5, -1.0, 2.0, 0.25])
-        params["proj1.b"] = b
+        params["proj1.b"][...] = b
         x1 = make_rng(4, 73).uniform(0, 1, size=(1, 12))
         x2 = make_rng(5, 73).uniform(0, 1, size=(1, 12))
         _, z1, _ = encode_batch(CFG, params, x1)
@@ -64,8 +61,7 @@ class TestEncode:
 
     def test_zero_norm_flagged_not_crashed(self):
         params = params_for(10)
-        for name in params.names():
-            params[name] = np.zeros_like(params[name])
+        params.flat[:] = 0.0
         _, z, cache = encode_batch(CFG, params, np.zeros((2, 12)))
         assert cache.zero_norm_count == 2
         assert np.all(np.isfinite(z))
@@ -87,10 +83,15 @@ class TestEncode:
         assert grads.names() == params.names()
 
 
+def augmented(img, comp):
+    return apply_composite([comp], img[None])[0]
+
+
 class TestLatentDeviation:
     def test_identity_composite_gives_one(self):
         comp = CompositeAugmentation((BasicTransform(TransformId.IDENTITY, 0.5),))
-        dev = latent_deviation(CFG, params_for(13), raster_for(14), comp)
+        img = raster_for(14)
+        dev = latent_deviation(CFG, params_for(13), img, augmented(img, comp))
         assert abs(dev - 1.0) < 1e-9
 
     def test_antipodal_embeddings_give_minus_one(self):
@@ -99,24 +100,23 @@ class TestLatentDeviation:
         assert abs(float(z @ (-z)) - (-1.0)) < 1e-12
 
     def test_matches_two_independent_encodes(self):
-        from cocor.augment import apply_composite
-
         params = params_for(16)
         img = raster_for(17)
         comp = CompositeAugmentation((BasicTransform(TransformId.ROTATE, 0.6, 1),))
-        dev = latent_deviation(CFG, params, img, comp)
-        _, z_raw = encode(CFG, params, img)
-        _, z_aug = encode(CFG, params, apply_composite([comp], img[None])[0])
-        assert abs(dev - float(z_raw @ z_aug)) < 1e-12
+        aug = augmented(img, comp)
+        dev = latent_deviation(CFG, params, img, aug)
+        _, z_raw, _ = encode_batch(CFG, params, img.reshape(1, -1))
+        _, z_aug, _ = encode_batch(CFG, params, aug.reshape(1, -1))
+        assert abs(dev - float(z_raw[0] @ z_aug[0])) < 1e-12
 
     def test_bounded_by_one(self):
         rng = make_rng(18)
         params = params_for(19)
         for trial in range(20):
             comp_len = int(rng.integers(1, 5))
-            from cocor.augment import sample_composite
             comp = sample_composite(comp_len, 1.0, rng)
-            dev = latent_deviation(CFG, params, raster_for(20 + trial), comp)
+            img = raster_for(20 + trial)
+            dev = latent_deviation(CFG, params, img, augmented(img, comp))
             assert -1.0 - 1e-12 <= dev <= 1.0 + 1e-12
 
 
@@ -147,6 +147,23 @@ class TestMomentumUpdate:
             lo = np.minimum(pk[name], pq[name])
             hi = np.maximum(pk[name], pq[name])
             assert np.all(out[name] >= lo - 1e-15) and np.all(out[name] <= hi + 1e-15)
+
+    def test_matches_per_segment_formula_bitwise(self):
+        pk, pq = params_for(35), params_for(36)
+        k_before, q_before = pk.flat.copy(), pq.flat.copy()
+        out = momentum_update(pk, pq, 0.99)
+        assert out.layout == pk.layout
+        for name in pk.names():
+            expected = 0.99 * pk[name] + (1.0 - 0.99) * pq[name]
+            assert out[name].tobytes() == expected.tobytes(), name
+        np.testing.assert_array_equal(pk.flat, k_before)
+        np.testing.assert_array_equal(pq.flat, q_before)
+        assert not np.shares_memory(out.flat, pk.flat)
+
+    def test_layout_mismatch_raises(self):
+        other = init_encoder_params(EncoderConfig(12, (10, 7), 6, 4), make_rng(37, 70))
+        with pytest.raises(ValueError):
+            momentum_update(params_for(37), other, 0.5)
 
     def test_invalid_coefficient(self):
         with pytest.raises(ValueError):
@@ -186,6 +203,15 @@ class TestCheckpoint:
             with pytest.raises(ValueError):
                 load_checkpoint(str(clipped))
 
+    def test_repeated_segment_name_rejected(self, tmp_path):
+        # two segments, both named encoder.bb0.w, with different shapes
+        path = tmp_path / "dup.ccor"
+        save_checkpoint(str(path), ParamSet({"encoder.bb0.w": np.ones((2, 2)),
+                                             "encoder.bb0.v": np.ones(3)}))
+        path.write_bytes(path.read_bytes().replace(b"bb0.v", b"bb0.w"))
+        with pytest.raises(ValueError, match=r"dup\.ccor: repeated segment name 'encoder\.bb0\.w'"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.ccor"
         save_checkpoint(str(path), params_for(33))
@@ -204,3 +230,4 @@ class TestCheckpoint:
         assert data[8:12] == (1).to_bytes(4, "little")
         assert data[12:16] == (1).to_bytes(4, "little")
         assert data[16:17] == b"w"
+

@@ -177,11 +177,11 @@ class TestLinearEval:
                            cfg.noise, make_rng(15, 100))
         enc_cfg = EncoderConfig(cfg.input_dim, cfg.hidden, cfg.proj_hidden, cfg.embed_dim)
         theta = init_train_state(cfg, enc_cfg, 1).theta_e
-        snapshot = theta.to_flat().copy()
+        snapshot = theta.flat.copy()
         a1 = linear_eval(enc_cfg, theta, ds, cfg, seed=7)
         a2 = linear_eval(enc_cfg, theta, ds, cfg, seed=7)
         assert a1 == a2
-        np.testing.assert_array_equal(theta.to_flat(), snapshot)
+        np.testing.assert_array_equal(theta.flat, snapshot)
 
 
 class TestMetricsPersistence:

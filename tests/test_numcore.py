@@ -106,6 +106,38 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_step(params, ParamSet({"w": np.zeros(4)}), state)
 
+    def test_matches_per_segment_formula_bitwise(self):
+        rng = make_rng(9)
+        shapes = {"w": (3, 4), "b": (4,), "u": (2, 1)}
+        lr0, m, wd = 0.07, 0.9, 1e-3
+        params = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
+        state = SgdState.init(params, base_lr=lr0, momentum=m, weight_decay=wd,
+                              total_steps=5)
+        ref = {k: v.copy() for k, v in params.items()}
+        velocity = {k: np.zeros(s) for k, s in shapes.items()}
+        for _ in range(3):
+            grads = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
+            p_before, g_before = params.flat.copy(), grads.flat.copy()
+            lr = state.current_lr()
+            new = sgd_step(params, grads, state)
+            np.testing.assert_array_equal(params.flat, p_before)
+            np.testing.assert_array_equal(grads.flat, g_before)
+            assert not np.shares_memory(new.flat, params.flat)
+            for k in shapes:
+                velocity[k] = m * velocity[k] + (grads[k] + wd * ref[k])
+                ref[k] = ref[k] - lr * velocity[k]
+                assert new[k].tobytes() == ref[k].tobytes(), k
+            np.testing.assert_array_equal(
+                state.buffers, np.concatenate([v.ravel() for v in velocity.values()]))
+            params = new
+        assert state.step == 3
+
+    def test_non_finite_update_names_segment(self):
+        params = ParamSet({"a": np.zeros(2), "b": np.zeros(2)})
+        state = SgdState.init(params, base_lr=0.1)
+        with pytest.raises(FloatingPointError, match="'b' after sgd_step"):
+            sgd_step(params, ParamSet({"a": np.zeros(2), "b": np.array([0.0, np.inf])}), state)
+
 
 class TestCosineSchedule:
     def test_starts_at_base(self):
@@ -123,7 +155,7 @@ class TestGradCheck:
         params = ParamSet({"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)})
 
         def loss_fn(p):
-            return 0.5 * float(np.sum(p.to_flat() ** 2))
+            return 0.5 * float(np.sum(p.flat ** 2))
 
         err = grad_check(loss_fn, params, params.copy())
         assert err < 1e-9
@@ -139,33 +171,88 @@ class TestGradCheck:
         err = grad_check(lambda p: float(np.sum(p["w"] ** 2)), params, analytic)
         assert not err < 1e-5
 
+    def test_params_unchanged(self):
+        rng = make_rng(7, 1)
+        params = ParamSet({"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)})
+        snapshot = params.flat.copy()
+        seen = []
+
+        def loss_fn(p):
+            seen.append(p.flat is params.flat)
+            return float(np.sum(np.sin(p["a"])) + np.sum(p["b"] ** 3))
+
+        analytic = ParamSet({"a": np.cos(params["a"]), "b": 3.0 * params["b"] ** 2})
+        assert grad_check(loss_fn, params, analytic) < 1e-6
+        np.testing.assert_array_equal(params.flat, snapshot)
+        assert seen and not any(seen)
+
+    def test_layout_mismatch_raises(self):
+        params = ParamSet({"a": np.ones((2, 3))})
+        with pytest.raises(ValueError):
+            grad_check(lambda p: 0.0, params, ParamSet({"a": np.ones((3, 2))}))
+
 
 class TestParamSet:
     def test_flat_round_trip_preserves_order(self):
         rng = make_rng(8)
-        ps = ParamSet({"z": rng.standard_normal((2, 3)), "a": rng.standard_normal(4)})
-        flat = ps.to_flat()
-        assert flat.size == 10
-        rebuilt = ps.with_flat(flat)
-        for name in ps.names():
-            np.testing.assert_array_equal(rebuilt[name], ps[name])
-        # insertion order, not alphabetical
+        z, a = rng.standard_normal((2, 3)), rng.standard_normal(4)
+        ps = ParamSet({"z": z, "a": a})
+        np.testing.assert_array_equal(ps["z"], z)
+        np.testing.assert_array_equal(ps["a"], a)
+        # insertion order, not alphabetical; each segment row-major
         assert ps.names() == ["z", "a"]
-        np.testing.assert_array_equal(flat[:6], ps["z"].ravel())
+        assert ps.layout == (("z", (2, 3)), ("a", (4,)))
+        np.testing.assert_array_equal(ps.flat, np.concatenate([z.ravel(), a]))
+        assert ps.flat.flags.c_contiguous and ps.flat.dtype == np.float64
 
-    def test_segment_shape_guard(self):
-        ps = ParamSet({"w": np.zeros((2, 2))})
-        with pytest.raises(ValueError):
-            ps["w"] = np.zeros(3)
+    def test_views_alias_the_vector(self):
+        src = np.arange(6.0).reshape(2, 3)
+        ps = ParamSet({"w": src, "b": np.zeros(2)})
+        src[0, 0] = 99.0  # the constructor copied its input
+        assert ps["w"][0, 0] == 0.0
+        ps["w"][1, 2] = -1.0
+        assert ps.flat[5] == -1.0
+        ps.flat[6] = 7.0
+        assert ps["b"][0] == 7.0
+        for _, view in ps.items():
+            assert np.shares_memory(view, ps.flat)
+
+    def test_copy_does_not_alias(self):
+        ps = ParamSet({"w": np.ones((2, 2)), "b": np.ones(2)})
+        dup = ps.copy()
+        assert dup.layout == ps.layout
+        assert not np.shares_memory(dup.flat, ps.flat)
+        dup["w"][0, 0] = 5.0
+        dup.flat[-1] = 6.0
+        np.testing.assert_array_equal(ps.flat, np.ones(6))
+        assert all(np.shares_memory(view, dup.flat) for _, view in dup.items())
+
+    def test_zeros_like_and_scale_keep_layout(self):
+        ps = ParamSet({"w": np.full((2, 2), 2.0), "b": np.array([-1.0, 3.0])})
+        zeros, scaled = ps.zeros_like(), ps.scale(0.5)
+        assert zeros.layout == scaled.layout == ps.layout
+        np.testing.assert_array_equal(zeros.flat, np.zeros(6))
+        np.testing.assert_array_equal(scaled["b"], [-0.5, 1.5])
+        np.testing.assert_array_equal(ps["b"], [-1.0, 3.0])
 
     def test_check_finite(self):
-        ps = ParamSet({"w": np.array([1.0, float("inf")])})
-        with pytest.raises(FloatingPointError):
-            ps.check_finite()
+        ParamSet({"w": np.ones(2)}).check_finite()
+        # names the first non-finite segment
+        ps = ParamSet({"a": np.ones(2), "b": np.array([1.0, np.nan]), "c": np.array([np.inf])})
+        with pytest.raises(FloatingPointError, match="segment 'b' after x"):
+            ps.check_finite("after x")
 
-    def test_add_scaled_mismatch(self):
+    def test_layout_mismatch_raises(self):
+        state = SgdState.init(ParamSet({"w": np.zeros(2)}), base_lr=0.1)
+        with pytest.raises(ValueError, match="layouts differ"):
+            sgd_step(ParamSet({"w": np.zeros(2)}), ParamSet({"v": np.zeros(2)}), state)
+        with pytest.raises(ValueError, match="layouts differ"):
+            sgd_step(ParamSet({"w": np.zeros(2)}), ParamSet({"w": np.zeros((1, 2))}), state)
+
+    def test_like_rejects_wrong_size(self):
+        ps = ParamSet({"w": np.zeros((2, 2))})
         with pytest.raises(ValueError):
-            ParamSet({"w": np.zeros(2)}).add_scaled(ParamSet({"v": np.zeros(2)}), 1.0)
+            ps.like(np.zeros(5))
 
 
 def test_make_rng_is_path_deterministic():

@@ -80,8 +80,8 @@ class TestGradients:
         v = np.zeros((1, 14), dtype=np.int64)
         v[0, 3] = 2
         batch = np.repeat(v, 6, axis=0)
-        single = pmnn.grad_wrt_params(params, v).to_flat()
-        averaged = pmnn.grad_wrt_params(params, batch).to_flat()
+        single = pmnn.grad_wrt_params(params, v).flat
+        averaged = pmnn.grad_wrt_params(params, batch).flat
         np.testing.assert_allclose(averaged, single, atol=1e-14)
 
     def test_zero_raw_weights_effective_ln2_gradient_nonzero(self):
@@ -100,7 +100,7 @@ class TestGradients:
             return float(np.mean(pmnn.predict_batch(p, v)))
 
         analytic = pmnn.grad_wrt_params(params, v)
-        assert np.linalg.norm(analytic.to_flat()) > 0
+        assert np.linalg.norm(analytic.flat) > 0
         assert grad_check(loss_fn, params, analytic) < 1e-6
 
     def test_empty_batch_rejected(self):

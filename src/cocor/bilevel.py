@@ -21,6 +21,7 @@ and is used to validate direction and sign. A guard skips the update when
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -86,14 +87,30 @@ class TrainState:
 
 @dataclass
 class StepBatch:
-    """All views of one minibatch, flattened for the encoder."""
+    """All views of one minibatch, flattened and stacked into one encoder
+    input, so one forward pass per parameter version covers them: the query
+    rows, the raw rows, their augmented views, then the labeled rows whose
+    backbone features the step's cross-entropy reads."""
 
-    x_query: np.ndarray
-    z_keys: np.ndarray          # momentum-encoder embeddings, constants
-    x_raw: np.ndarray
-    x_aug: np.ndarray
-    v: np.ndarray               # (B, POOL_SIZE) composition vectors
-    lengths: np.ndarray
+    x: np.ndarray
+    z_keys: np.ndarray          # momentum-encoder embeddings, one per query row; constants
+    v: np.ndarray               # (pairs, POOL_SIZE) composition vectors
+    lengths: np.ndarray         # (pairs,) composite lengths
+
+    def starts(self) -> tuple[int, int, int]:
+        """First row of the raw, the augmented and the labeled rows."""
+        q, p = self.z_keys.shape[0], self.lengths.size
+        return q, q + p, q + 2 * p
+
+    @property
+    def x_raw(self) -> np.ndarray:
+        r, a, _ = self.starts()
+        return self.x[r:a]
+
+    @property
+    def x_aug(self) -> np.ndarray:
+        _, a, lab = self.starts()
+        return self.x[a:lab]
 
 
 @dataclass
@@ -105,14 +122,16 @@ class UnsupEval:
     k_pooled: float
     k_by_length: dict[int, float]
     grads: ParamSet | None
-    zero_norms: int
+    zero_norms: int             # over the unsupervised rows only
+    labeled_features: np.ndarray  # backbone features of the batch's labeled rows
 
 
 @dataclass
 class StepInfo:
-    """Everything pmnn_step and the oracle need about one encoder update:
-    the unsupervised loss terms at theta_before and at the updated encoder,
-    on the same batch, predictions and queue."""
+    """Everything probe_step, pmnn_step and the oracle need about one encoder
+    update: the unsupervised loss terms and the labeled rows' features at
+    theta_before and at the updated encoder, on the same batch, predictions
+    and queue."""
 
     theta_before: ParamSet
     batch: StepBatch
@@ -156,10 +175,10 @@ def _flatten(imgs: np.ndarray) -> np.ndarray:
 
 
 def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                     stream: int, step_tag: int) -> StepBatch:
-    """Weak query/key views plus raw and composite-augmented views. Every
-    sample draws from its own seed paths, so its views do not depend on the
-    batch around it."""
+                     x_labeled: np.ndarray, stream: int, step_tag: int) -> StepBatch:
+    """Weak query/key views plus raw and composite-augmented views, stacked
+    with the labeled rows. Every sample draws from its own seed paths, so its
+    views do not depend on the batch around it."""
     n = imgs.shape[0]
     rngs = path_rngs([(state.master_seed, stream, step_tag, i, role)
                       for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
@@ -171,9 +190,8 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     augmented = apply_composite(comps, imgs)
 
     _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
-    return StepBatch(x_query=_flatten(queries), z_keys=z_keys,
-                     x_raw=_flatten(imgs), x_aug=_flatten(augmented),
-                     v=np.stack([composition_vector(c) for c in comps]),
+    x = np.concatenate([_flatten(queries), _flatten(imgs), _flatten(augmented), x_labeled])
+    return StepBatch(x=x, z_keys=z_keys, v=np.stack([composition_vector(c) for c in comps]),
                      lengths=np.array([len(c) for c in comps], dtype=np.int64))
 
 
@@ -184,28 +202,36 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
                g_vals: np.ndarray, queue: NegativeQueue, cfg: RunConfig,
                want_grad: bool) -> UnsupEval:
     """Full unsupervised loss (and optionally its encoder gradient) at theta,
-    holding views, keys, queue, and predictor outputs fixed."""
-    _, z_q, cache_q = encode_batch(enc_cfg, theta, batch.x_query)
-    lc, d_zq = contrastive_loss(z_q, batch.z_keys, queue, cfg.tau)
-    _, z_raw, cache_r = encode_batch(enc_cfg, theta, batch.x_raw)
-    _, z_aug, cache_a = encode_batch(enc_cfg, theta, batch.x_aug)
+    holding views, keys, queue, and predictor outputs fixed.
+
+    One forward pass covers every row of the batch; the labeled rows take no
+    part in the loss and only their backbone features are returned. The
+    three backward passes (query, raw, augmented) run on row slices of that
+    pass and add into one gradient set.
+    """
+    features, z, cache = encode_batch(enc_cfg, theta, batch.x)
+    r, a, lab = batch.starts()
+    lc, d_zq = contrastive_loss(z[:r], batch.z_keys, queue, cfg.tau)
+    z_raw, z_aug = z[r:a], z[a:lab]
     omega = np.sum(z_raw * z_aug, axis=1)
     simi = float(np.mean(omega))
     lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
         omega, g_vals, batch.lengths)
     lu = lc + lcons
     k_pooled = float(np.mean(omega - g_vals))
-    zero_norms = cache_q.zero_norm_count + cache_r.zero_norm_count + cache_a.zero_norm_count
+    zero_norms = int(np.count_nonzero(cache.zero_norm[:lab]))
 
     grads = None
     if want_grad:
-        d_zr = d_omega[:, None] * z_aug
-        d_za = d_omega[:, None] * z_raw
-        grads = encode_backward(enc_cfg, theta, cache_q, d_z=d_zq)
-        grads.flat += encode_backward(enc_cfg, theta, cache_r, d_z=d_zr).flat
-        grads.flat += encode_backward(enc_cfg, theta, cache_a, d_z=d_za).flat
+        grads = theta.zeros_like()
+        encode_backward(enc_cfg, theta, cache.rows(0, r), d_z=d_zq, out=grads)
+        encode_backward(enc_cfg, theta, cache.rows(r, a), d_z=d_omega[:, None] * z_aug,
+                        out=grads)
+        encode_backward(enc_cfg, theta, cache.rows(a, lab), d_z=d_omega[:, None] * z_raw,
+                        out=grads)
     return UnsupEval(lu=lu, lc=lc, lcons=lcons, simi=simi, k_pooled=k_pooled,
-                     k_by_length=k_by_length, grads=grads, zero_norms=zero_norms)
+                     k_by_length=k_by_length, grads=grads, zero_norms=zero_norms,
+                     labeled_features=features[lab:])
 
 
 def simi_and_grad(enc_cfg: EncoderConfig, theta: ParamSet, x_raw: np.ndarray,
@@ -216,7 +242,7 @@ def simi_and_grad(enc_cfg: EncoderConfig, theta: ParamSet, x_raw: np.ndarray,
     omega = np.sum(z_raw * z_aug, axis=1)
     n = omega.size
     grads = encode_backward(enc_cfg, theta, cache_r, d_z=z_aug / n)
-    grads.flat += encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n).flat
+    encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n, out=grads)
     return float(np.mean(omega)), grads
 
 
@@ -255,25 +281,26 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
 
 
 def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                 step_tag: int, stream: int = STREAM_VIEWS) -> StepInfo:
+                 x_labeled: np.ndarray, step_tag: int,
+                 stream: int = STREAM_VIEWS) -> StepInfo:
     """One descent step on the unsupervised loss with the predictor frozen.
 
-    Builds the views, measures (L_u, simi, k) before and after the update on
-    identical inputs and queue contents, updates the momentum encoder, and
-    only then enqueues the new keys.
+    Builds the views, measures (L_u, simi, k) and the labeled rows' features
+    before and after the update on identical inputs and queue contents,
+    updates the momentum encoder, and only then enqueues the new keys.
     """
     if state.queue.fill < 1:
         raise RuntimeError("encoder_step requires a non-empty queue (run warm-up first)")
-    batch = build_step_batch(state, cfg, imgs, stream, step_tag)
+    batch = build_step_batch(state, cfg, imgs, x_labeled, stream, step_tag)
     g_vals = state.predictor().predict_batch(batch.v)
 
     before = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
                         cfg, want_grad=True)
-    theta_before = state.theta_e.copy()
+    theta_before = state.theta_e  # sgd_step returns a new set and leaves this one intact
     lr_used = state.opt_e.current_lr()
     state.theta_e = sgd_step(state.theta_e, before.grads, state.opt_e)
     before.grads = None  # applied; StepInfo keeps the measurements only
-    state.theta_k = momentum_update(state.theta_k, state.theta_e, cfg.momentum_coef)
+    momentum_update(state.theta_k, state.theta_e, cfg.momentum_coef)
 
     after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
                        cfg, want_grad=False)
@@ -285,28 +312,33 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
                     before=before, after=after)
 
 
-def probe_step(state: TrainState, x: np.ndarray, labels: np.ndarray) -> float:
-    """One SGD step on the probe over frozen backbone features."""
-    features, _, _ = encode_batch(state.enc_cfg, state.theta_e, x)
+def probe_step(state: TrainState, x: np.ndarray, labels: np.ndarray,
+               features: np.ndarray | None = None) -> float:
+    """One SGD step on the probe over frozen backbone features: ``features``
+    when the caller has x's features at state.theta_e (the training loop
+    passes the encoder step's), else those of x encoded here."""
+    if features is None:
+        features, _, _ = encode_batch(state.enc_cfg, state.theta_e, x)
     ce, grads = head_ce(state.probe, features, labels)
     state.probe = sgd_step(state.probe, grads, state.opt_probe)
     return ce
 
 
-def pmnn_step(state: TrainState, cfg: RunConfig, x_labeled: np.ndarray,
-              labels: np.ndarray, info: StepInfo | None) -> BilevelScalars:
+def pmnn_step(state: TrainState, cfg: RunConfig, labels: np.ndarray,
+              info: StepInfo | None) -> BilevelScalars:
     """Predictor update from the collapsed scalar formula (see module doc).
 
     Requires the StepInfo produced by this iteration's encoder_step; CE is
-    measured at the cached pre-update and current encoder parameters with the
-    probe frozen.
+    measured on its labeled rows' features at the pre-update and updated
+    encoder parameters, with the current probe frozen.
     """
     if info is None:
         raise RuntimeError("pmnn_step requires the StepInfo from encoder_step")
     if not state.use_pmnn:
         raise RuntimeError("pmnn_step called with a constant deviation predictor")
-    ce_before, _ = probe_ce(state.enc_cfg, info.theta_before, state.probe, x_labeled, labels)
-    ce_after, _ = probe_ce(state.enc_cfg, state.theta_e, state.probe, x_labeled, labels)
+    w, b = state.probe["w"], state.probe["b"]
+    ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels)
+    ce_after, _ = cross_entropy(info.after.labeled_features @ w + b, labels)
 
     d_lu = info.after.lu - info.before.lu
     coefficient = deviation_gap_coefficient(info.before.k_pooled)
@@ -462,24 +494,23 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
     for epoch in range(cfg.epochs):
         state.epoch = epoch
         perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
-        epoch_start_theta = state.theta_e.copy() if cfg.alternation == "epoch" else None
+        # never written in place: each sgd_step makes a new set
+        epoch_start_theta = state.theta_e if cfg.alternation == "epoch" else None
         last_info: StepInfo | None = None
         epoch_rows = []
 
         for it in range(steps_per_epoch):
             idx = perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
-            info = encoder_step(state, cfg, unlabeled[idx], step_tag=state.step)
-            last_info = info
-
-            lab_rng = make_rng(cfg.seed, STREAM_LABELED, state.step)
+            # the labeled batch is keyed by the step count encoder_step reaches
+            lab_rng = make_rng(cfg.seed, STREAM_LABELED, state.step + 1)
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
-            ce = probe_step(state, labeled_x_all[lab_idx], labeled_y_all[lab_idx])
+            x_lab, y_lab = labeled_x_all[lab_idx], labeled_y_all[lab_idx]
+            info = encoder_step(state, cfg, unlabeled[idx], x_lab, step_tag=state.step)
+            ce = probe_step(state, x_lab, y_lab, features=info.after.labeled_features)
 
             coefficient = None
             if state.use_pmnn and cfg.alternation == "iteration":
-                scalars = pmnn_step(state, cfg, labeled_x_all[lab_idx],
-                                    labeled_y_all[lab_idx], info)
-                coefficient = scalars.coefficient
+                coefficient = pmnn_step(state, cfg, y_lab, info).coefficient
 
             record = MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
@@ -490,12 +521,17 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
                 probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0)
             metrics.append(record)
             epoch_rows.append(record)
+            # only the epoch-level predictor update reads a step's views and
+            # parameters later; drop them before the next step allocates its own
+            last_info = info if cfg.alternation == "epoch" else None
+            del info
 
         if state.use_pmnn and cfg.alternation == "epoch" and last_info is not None:
-            info = _epoch_pair_info(state, cfg, epoch_start_theta, last_info)
             lab_rng = make_rng(cfg.seed, STREAM_LABELED, cfg.epochs * steps_per_epoch + epoch)
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
-            pmnn_step(state, cfg, labeled_x_all[lab_idx], labeled_y_all[lab_idx], info)
+            info = _epoch_pair_info(state, cfg, epoch_start_theta, last_info,
+                                    labeled_x_all[lab_idx])
+            pmnn_step(state, cfg, labeled_y_all[lab_idx], info)
 
         if state.use_pmnn:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
@@ -517,9 +553,12 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
 
 
 def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
-                     last_info: StepInfo) -> StepInfo:
-    """Coarse epoch-level (theta, theta') pair measured on the last batch."""
-    batch = last_info.batch
+                     last_info: StepInfo, x_labeled: np.ndarray) -> StepInfo:
+    """Coarse epoch-level (theta, theta') pair measured on the last batch's
+    views, with x_labeled in place of its labeled rows."""
+    last = last_info.batch
+    batch = dataclasses.replace(
+        last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]))
     g_vals = state.predictor().predict_batch(batch.v)
     before = unsup_eval(state.enc_cfg, theta_start, batch, g_vals, state.queue,
                         cfg, want_grad=False)

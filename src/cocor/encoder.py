@@ -61,7 +61,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> ParamSe
 
 @dataclass
 class EncodeCache:
-    """Intermediates needed by encode_backward."""
+    """Intermediates needed by encode_backward, one row per input row."""
 
     x: np.ndarray
     pre_acts: list[np.ndarray]
@@ -69,10 +69,18 @@ class EncodeCache:
     features: np.ndarray
     proj_pre: list[np.ndarray]
     proj_hidden_act: np.ndarray
-    raw_proj: np.ndarray
     norms: np.ndarray
     z: np.ndarray
-    zero_norm_count: int
+    zero_norm: np.ndarray       # bool per row: raw projection norm below NORM_EPS
+
+    def rows(self, start: int, stop: int) -> "EncodeCache":
+        """The cache of rows start:stop, as views of this one."""
+        sl = slice(start, stop)
+        return EncodeCache(x=self.x[sl], pre_acts=[a[sl] for a in self.pre_acts],
+                           hidden_acts=[a[sl] for a in self.hidden_acts],
+                           features=self.features[sl], proj_pre=[a[sl] for a in self.proj_pre],
+                           proj_hidden_act=self.proj_hidden_act[sl], norms=self.norms[sl],
+                           z=self.z[sl], zero_norm=self.zero_norm[sl])
 
 
 def encode_batch(cfg: EncoderConfig, params: ParamSet,
@@ -80,7 +88,7 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     """Forward a (B, input_dim) batch; returns (features, z, cache).
 
     z rows are unit-norm; rows whose raw projection norm underflows the
-    epsilon guard are counted in cache.zero_norm_count.
+    epsilon guard are flagged in cache.zero_norm.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -100,23 +108,28 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     p1 = affine_forward(a0, params["proj1.w"], params["proj1.b"])
 
     raw_norms = np.linalg.norm(p1, axis=1)
-    zero_count = int(np.sum(raw_norms < NORM_EPS))
     norms = np.maximum(raw_norms, NORM_EPS)
     z = p1 / norms[:, None]
 
     cache = EncodeCache(x=x, pre_acts=pre_acts, hidden_acts=hidden_acts,
                         features=features, proj_pre=[p0, p1], proj_hidden_act=a0,
-                        raw_proj=p1, norms=norms, z=z, zero_norm_count=zero_count)
+                        norms=norms, z=z, zero_norm=raw_norms < NORM_EPS)
     return features, z, cache
 
 
 def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
                     d_z: np.ndarray | None = None,
-                    d_features: np.ndarray | None = None) -> ParamSet:
-    """Parameter gradients given cotangents on z and/or features."""
-    grads = params.zeros_like()
-    # in-place += on views of the zero vector stores 0 + d (so never -0.0)
-    views = dict(grads.items())
+                    d_features: np.ndarray | None = None,
+                    out: ParamSet | None = None) -> ParamSet:
+    """Parameter gradients given cotangents on z and/or features.
+
+    With ``out`` the gradients are added into it (and it is returned);
+    otherwise into a fresh zero set. No gradient for the input is formed.
+    """
+    out = params.zeros_like() if out is None else out
+    params._check_compatible(out)
+    # in-place += on views of a zero vector stores 0 + d (so never -0.0)
+    views = dict(out.items())
 
     d_feat_total = np.zeros_like(cache.features)
     if d_features is not None:
@@ -141,11 +154,12 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
     for i in reversed(range(len(cfg.hidden))):
         d_pre = d_h * relu_grad(cache.pre_acts[i])
         below = cache.hidden_acts[i - 1] if i > 0 else cache.x
-        d_h, d_w, d_b = affine_backward(d_pre, below, params[f"bb{i}.w"])
+        # the input layer's d_x would go to the data: it is not formed
+        d_h, d_w, d_b = affine_backward(d_pre, below, params[f"bb{i}.w"] if i > 0 else None)
         views[f"bb{i}.w"] += d_w
         views[f"bb{i}.b"] += d_b
 
-    return grads
+    return out
 
 
 def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
@@ -159,11 +173,14 @@ def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
 
 
 def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> ParamSet:
-    """theta_k' = m * theta_k + (1 - m) * theta_q, elementwise."""
+    """theta_k <- m * theta_k + (1 - m) * theta_q, elementwise and in place
+    (same arithmetic as the out-of-place expression); returns theta_k."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum coefficient must lie in [0, 1]")
     theta_k._check_compatible(theta_q)
-    return theta_k.like(m * theta_k.flat + (1.0 - m) * theta_q.flat)
+    theta_k.flat *= m
+    theta_k.flat += (1.0 - m) * theta_q.flat
+    return theta_k
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def check_total_unsup(seed: int = 0, tau: float = 0.2) -> float:
     """The training loss itself: ``bilevel.unsup_eval`` (contrastive plus
     consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
-    batch = bilevel.StepBatch(x_query=x_query, z_keys=z_keys, x_raw=x_raw, x_aug=x_aug,
+    batch = bilevel.StepBatch(x=np.concatenate([x_query, x_raw, x_aug]), z_keys=z_keys,
                               v=np.zeros((3, 14), dtype=np.int64),
                               lengths=np.array([1, 2, 1]))
     g_vals = np.array([0.4, 0.1, 0.5])

@@ -28,6 +28,7 @@ class NegativeQueue:
         self._buf = np.zeros((capacity, dim))
         self._ptr = 0
         self.fill = 0
+        self._snapshot: np.ndarray | None = None
 
     def push(self, embeddings: np.ndarray) -> None:
         """Append rows, evicting the oldest entries past capacity."""
@@ -38,16 +39,25 @@ class NegativeQueue:
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"queue admits unit-norm embeddings only (off by {worst:.2e})")
-        for row in embeddings:
-            self._buf[self._ptr] = row
-            self._ptr = (self._ptr + 1) % self.capacity
-            self.fill = min(self.fill + 1, self.capacity)
+        n = embeddings.shape[0]
+        # only the last `capacity` rows survive; row j lands at (ptr + j) % capacity
+        kept = embeddings[max(0, n - self.capacity):]
+        start = (self._ptr + n - kept.shape[0]) % self.capacity
+        head = min(kept.shape[0], self.capacity - start)
+        self._buf[start:start + head] = kept[:head]
+        self._buf[:kept.shape[0] - head] = kept[head:]
+        self._ptr = (self._ptr + n) % self.capacity
+        self.fill = min(self.fill + n, self.capacity)
+        self._snapshot = None
 
     def as_matrix(self) -> np.ndarray:
-        """Current contents, oldest first, shape (fill, dim)."""
-        if self.fill < self.capacity:
-            return self._buf[:self.fill].copy()
-        return np.roll(self._buf, -self._ptr, axis=0).copy()
+        """Current contents, oldest first, shape (fill, dim): one read-only
+        snapshot, shared by every call until the next push."""
+        if self._snapshot is None:
+            # np.roll copies; below capacity the pointer equals fill, a whole turn
+            self._snapshot = np.roll(self._buf[:self.fill], -self._ptr, axis=0)
+            self._snapshot.flags.writeable = False
+        return self._snapshot
 
 
 def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,

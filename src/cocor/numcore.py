@@ -222,10 +222,11 @@ def affine_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return x @ weights + bias
 
 
-def affine_backward(d_out: np.ndarray, x: np.ndarray,
-                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_weights, d_bias) for affine_forward."""
-    d_x = d_out @ weights.T
+def affine_backward(d_out: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (d_x, d_weights, d_bias) for affine_forward; d_x is None
+    without ``weights`` (for an input layer, whose d_x nothing reads)."""
+    d_x = None if weights is None else d_out @ weights.T
     d_w = x.T @ d_out
     d_b = d_out.sum(axis=0)
     return d_x, d_w, d_b

@@ -152,12 +152,12 @@ def test_criterion_4_hypergradient_fidelity():
         seed += 1
         cfg, state, imgs, x_lab, y_lab = _fidelity_instance(s)
         try:
-            info = encoder_step(state, cfg, imgs, step_tag=0)
+            info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         except ValueError:
             continue  # degenerate dead-projection init on a tiny net
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, cfg, info, x_lab, y_lab)
-        scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
+        scalars = pmnn_step(state, cfg, y_lab, info)
         if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
             continue
         n_valid += 1

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cocor import pmnn
+from cocor import bilevel, harness, pmnn
 from cocor.augment import apply_composite, composition_vector, sample_composite
 from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch, dacl,
                            deviation_gap_coefficient, encoder_step,
                            hypergradient_oracle, init_train_state, pmnn_step,
-                           probe_ce, probe_step, train)
+                           probe_ce, probe_step, train, unsup_eval)
 from cocor.config import RunConfig
 from cocor.data import synth_dataset, weak_augment
-from cocor.encoder import EncoderConfig
+from cocor.encoder import EncoderConfig, encode_batch
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid
 
 TINY = dict(classes=3, per_class=8, height=6, width=6, channels=1, noise=0.1,
@@ -60,55 +60,72 @@ class TestCoefficient:
 
 class TestEncoderStep:
     def test_zero_lr_leaves_encoder_but_advances_queue(self):
-        cfg, state, imgs, _, _ = tiny_instance(1)
+        cfg, state, imgs, x_lab, _ = tiny_instance(1)
         state.opt_e = SgdState(base_lr=0.0, momentum=0.9, weight_decay=0.0, step=0,
                                total_steps=0, buffers=np.zeros_like(state.theta_e.flat))
         before = state.theta_e.copy()
         fill0 = state.queue.fill
-        encoder_step(state, cfg, imgs, step_tag=0)
+        encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
         assert state.queue.fill == fill0 + cfg.batch_size
 
     def test_requires_nonempty_queue(self):
-        cfg, state, imgs, _, _ = tiny_instance(2)
+        cfg, state, imgs, x_lab, _ = tiny_instance(2)
         state.queue.fill = 0
         with pytest.raises(RuntimeError):
-            encoder_step(state, cfg, imgs, step_tag=0)
+            encoder_step(state, cfg, imgs, x_lab, step_tag=0)
 
     def test_descent_at_small_lr(self):
         for lr in (1e-3, 1e-4):
-            cfg, state, imgs, _, _ = tiny_instance(3, eta_e=lr)
-            info = encoder_step(state, cfg, imgs, step_tag=0)
+            cfg, state, imgs, x_lab, _ = tiny_instance(3, eta_e=lr)
+            info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
             assert info.after.lu < info.before.lu, lr
 
     def test_momentum_encoder_tracks_query(self):
-        cfg, state, imgs, _, _ = tiny_instance(4)
+        cfg, state, imgs, x_lab, _ = tiny_instance(4)
         theta_k_before = state.theta_k.copy()
-        encoder_step(state, cfg, imgs, step_tag=0)
+        encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         m = cfg.momentum_coef
         for name in theta_k_before.names():
             expected = m * theta_k_before[name] + (1.0 - m) * state.theta_e[name]
             np.testing.assert_allclose(state.theta_k[name], expected, atol=1e-12)
 
 
+class TestUnsupEval:
+    def test_labeled_rows_do_not_count_as_zero_norms(self):
+        cfg, state, imgs, x_lab, _ = tiny_instance(15)
+        # a fresh encoder has zero biases, so rows of zeros project to zero
+        zeros = np.zeros_like(x_lab)
+        assert encode_batch(state.enc_cfg, state.theta_e, zeros)[2].zero_norm.all()
+        counts = []
+        for labeled in (np.empty((0, cfg.input_dim)), zeros):
+            batch = build_step_batch(state, cfg, imgs, labeled, stream=5, step_tag=0)
+            g_vals = state.predictor().predict_batch(batch.v)
+            counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
+                                     cfg, want_grad=False).zero_norms)
+        assert counts[1] == counts[0]
+
+
 class TestPmnnStep:
     def test_missing_info_is_sequencing_error(self):
-        cfg, state, _, x_lab, y_lab = tiny_instance(5)
+        cfg, state, _, _, y_lab = tiny_instance(5)
         with pytest.raises(RuntimeError):
-            pmnn_step(state, cfg, x_lab, y_lab, None)
+            pmnn_step(state, cfg, y_lab, None)
 
     def test_equal_ce_means_zero_update(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(6)
-        # theta_before == current params -> CE' == CE exactly; fake a loss drop
-        # so the denominator guard does not trigger.
-        batch_info = encoder_step(state, cfg, imgs, step_tag=0)
+        # theta_before == current params (so the same labeled features) ->
+        # CE' == CE exactly; fake a loss drop so the denominator guard does
+        # not trigger.
+        batch_info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         info = StepInfo(
             theta_before=state.theta_e.copy(), batch=batch_info.batch, lr_used=0.03,
-            before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1),
+            before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1,
+                                       labeled_features=batch_info.after.labeled_features),
             after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
+        scalars = pmnn_step(state, cfg, y_lab, info)
         assert not scalars.guard_triggered
         assert scalars.scalar == 0.0
         assert scalars.ce_after == scalars.ce_before
@@ -117,11 +134,11 @@ class TestPmnnStep:
 
     def test_guard_skips_update_and_counts(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(7)
-        batch_info = encoder_step(state, cfg, imgs, step_tag=0)
+        batch_info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         info = dataclasses.replace(batch_info, after=dataclasses.replace(
             batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
+        scalars = pmnn_step(state, cfg, y_lab, info)
         assert scalars.guard_triggered
         assert state.guard_count == 1
         for name in theta_d_before.names():
@@ -129,10 +146,10 @@ class TestPmnnStep:
 
     def test_update_parallel_to_mean_prediction_gradient(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(8)
-        info = encoder_step(state, cfg, imgs, step_tag=0)
+        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         theta_d_before = state.theta_d.copy()
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
-        scalars = pmnn_step(state, cfg, x_lab, y_lab, info)
+        scalars = pmnn_step(state, cfg, y_lab, info)
         assert not scalars.guard_triggered and scalars.scalar != 0.0
         delta = state.theta_d.flat - theta_d_before.flat
         cos = delta @ grad_g / (np.linalg.norm(delta) * np.linalg.norm(grad_g))
@@ -142,8 +159,8 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(9)
         rng = make_rng(81)
         for step in range(5):
-            info = encoder_step(state, cfg, imgs, step_tag=step)
-            pmnn_step(state, cfg, x_lab, y_lab, info)
+            info = encoder_step(state, cfg, imgs, x_lab, step_tag=step)
+            pmnn_step(state, cfg, y_lab, info)
         for _ in range(100):
             v = rng.integers(0, 9, size=14)
             i = int(rng.integers(0, 14))
@@ -195,7 +212,7 @@ class TestProbeStep:
 class TestOracle:
     def test_oracle_vector_is_scalar_times_mean_grad(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(14)
-        info = encoder_step(state, cfg, imgs, step_tag=0)
+        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, cfg, info, x_lab, y_lab)
         np.testing.assert_allclose(oracle_grad.flat,
@@ -316,13 +333,14 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("seed,channels", sorted(RECORDED))
     def test_views_match_recorded_output(self, seed, channels):
         cfg, state, imgs = view_instance(seed, channels)
-        b = build_step_batch(state, cfg, imgs, stream=5, step_tag=7)
-        assert _sha256(b.x_query, b.x_aug, b.v, b.lengths) == self.RECORDED[seed, channels]
+        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), stream=5, step_tag=7)
+        assert (_sha256(b.x[:b.starts()[0]], b.x_aug, b.v, b.lengths)
+                == self.RECORDED[seed, channels])
 
     @pytest.mark.parametrize("channels", (1, 3))
     def test_each_sample_equals_its_batch_of_one(self, channels):
         cfg, state, imgs = view_instance(2**32 + 9, channels)
-        b = build_step_batch(state, cfg, imgs, stream=5, step_tag=4)
+        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), stream=5, step_tag=4)
         for i in range(imgs.shape[0]):
             path = (cfg.seed, 5, 4, i)
             one = imgs[i:i + 1]
@@ -330,7 +348,7 @@ class TestBuildStepBatch:
             rng = make_rng(*path, ROLE_COMPOSITE)
             comp = sample_composite(int(rng.choice(np.asarray(cfg.lengths))),
                                     cfg.magnitude, rng)
-            np.testing.assert_array_equal(b.x_query[i], query.reshape(-1))
+            np.testing.assert_array_equal(b.x[i], query.reshape(-1))
             np.testing.assert_array_equal(b.x_aug[i],
                                           apply_composite([comp], one).reshape(-1))
             np.testing.assert_array_equal(b.v[i], composition_vector(comp))
@@ -382,6 +400,36 @@ class TestTrain:
         cfg = self._cfg(alternation="epoch")
         state, _ = train(cfg, self._dataset(cfg))
         assert state.step > 0
+
+    def test_one_iteration_runs_one_forward_per_parameter_version(self, monkeypatch):
+        # criterion 8's sizes; the calls are counted between the first two
+        # encoder_step calls, which is one whole training iteration: keys at
+        # theta_k, then one stacked forward at theta and one at theta'
+        cfg = RunConfig(classes=4, per_class=24, height=8, width=8, noise=0.15,
+                        hidden=(32, 16), proj_hidden=12, embed_dim=8, pmnn_hidden=8,
+                        queue_capacity=16, batch_size=8, epochs=1, eval_epochs=10, seed=11)
+        calls = {"encode_batch": 0, "encode_backward": 0}
+        at_steps = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bilevel, name, counted(name, getattr(bilevel, name)))
+        real_step = bilevel.encoder_step
+
+        def step(*args, **kwargs):
+            at_steps.append(dict(calls))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(bilevel, "encoder_step", step)
+        train(cfg, harness.build_dataset(cfg))
+        first, second = at_steps[:2]
+        assert {k: second[k] - first[k] for k in calls} == {"encode_batch": 3,
+                                                             "encode_backward": 3}
 
     def test_dataset_shape_mismatch_rejected(self):
         cfg = self._cfg(height=8)

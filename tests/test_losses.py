@@ -47,6 +47,36 @@ class TestQueue:
             np.testing.assert_array_equal(q.as_matrix(), np.stack(list(oracle)))
             assert q.fill <= q.capacity
 
+    def test_deque_oracle_across_wrap_and_oversized_pushes(self):
+        rng = make_rng(32)
+        q = NegativeQueue(capacity=5, dim=4)
+        oracle = collections.deque(maxlen=5)
+        # pushes that end exactly at, straddle, and overrun the wrap point,
+        # several of them larger than the capacity
+        for size in (3, 4, 1, 7, 5, 2, 11, 3, 5, 6, 1, 9):
+            batch = unit_rows(rng, size, 4)
+            q.push(batch)
+            oracle.extend(batch)
+            np.testing.assert_array_equal(q.as_matrix(), np.stack(list(oracle)))
+            assert q.fill == len(oracle)
+
+    @pytest.mark.parametrize("first", [2, 6], ids=["partial", "wrapped"])
+    def test_snapshot_is_read_only_and_refreshed_by_push(self, first):
+        rng = make_rng(33)
+        q = NegativeQueue(capacity=4, dim=3)
+        q.push(unit_rows(rng, first, 3))
+        snap = q.as_matrix()
+        assert q.as_matrix() is snap
+        with pytest.raises(ValueError):
+            snap[0, 0] = 0.0
+        held = snap.copy()
+        row = unit_rows(rng, 1, 3)
+        q.push(row)
+        np.testing.assert_array_equal(snap, held)  # a push never writes an old snapshot
+        fresh = q.as_matrix()
+        assert fresh is not snap
+        np.testing.assert_array_equal(fresh, np.concatenate([held, row])[-4:])
+
     def test_non_unit_rejected(self):
         q = NegativeQueue(capacity=2, dim=3)
         with pytest.raises(ValueError):

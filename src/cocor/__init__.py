@@ -18,4 +18,4 @@ from .harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_bas
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
 from .numcore import ParamSet, SgdState, grad_check, make_rng, sgd_step
-from .pmnn import ConstantPredictor, PmnnPredictor, init_pmnn_params
+from .pmnn import init_pmnn_params

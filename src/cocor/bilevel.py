@@ -71,18 +71,18 @@ class TrainState:
     opt_e: SgdState
     opt_d: SgdState | None
     opt_probe: SgdState
-    epoch: int = 0
     step: int = 0
     master_seed: int = 0
     guard_count: int = 0
     zero_norm_count: int = 0
-    use_pmnn: bool = True
-    const_deviation: float = 0.5
+    const_deviation: float = 0.5   # every row's deviation when theta_d is None
 
-    def predictor(self):
-        if self.use_pmnn:
-            return pmnn.PmnnPredictor(self.theta_d)
-        return pmnn.ConstantPredictor(self.const_deviation)
+    def predict(self, v: np.ndarray) -> np.ndarray:
+        """The deviation predictor on (N, POOL_SIZE) composition vectors: the
+        learned one, or const_deviation for every row without theta_d."""
+        if self.theta_d is None:
+            return np.full(v.shape[0], self.const_deviation)
+        return pmnn.predict_batch(self.theta_d, v)
 
 
 @dataclass
@@ -281,8 +281,7 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
 
 
 def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                 x_labeled: np.ndarray, step_tag: int,
-                 stream: int = STREAM_VIEWS) -> StepInfo:
+                 x_labeled: np.ndarray, step_tag: int) -> StepInfo:
     """One descent step on the unsupervised loss with the predictor frozen.
 
     Builds the views, measures (L_u, simi, k) and the labeled rows' features
@@ -291,8 +290,8 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     """
     if state.queue.fill < 1:
         raise RuntimeError("encoder_step requires a non-empty queue (run warm-up first)")
-    batch = build_step_batch(state, cfg, imgs, x_labeled, stream, step_tag)
-    g_vals = state.predictor().predict_batch(batch.v)
+    batch = build_step_batch(state, cfg, imgs, x_labeled, STREAM_VIEWS, step_tag)
+    g_vals = state.predict(batch.v)
 
     before = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
                         cfg, want_grad=True)
@@ -312,29 +311,22 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
                     before=before, after=after)
 
 
-def probe_step(state: TrainState, x: np.ndarray, labels: np.ndarray,
-               features: np.ndarray | None = None) -> float:
-    """One SGD step on the probe over frozen backbone features: ``features``
-    when the caller has x's features at state.theta_e (the training loop
-    passes the encoder step's), else those of x encoded here."""
-    if features is None:
-        features, _, _ = encode_batch(state.enc_cfg, state.theta_e, x)
+def probe_step(state: TrainState, features: np.ndarray, labels: np.ndarray) -> float:
+    """One SGD step on the probe over frozen backbone features (the training
+    loop passes the labeled rows' features at state.theta_e)."""
     ce, grads = head_ce(state.probe, features, labels)
     state.probe = sgd_step(state.probe, grads, state.opt_probe)
     return ce
 
 
-def pmnn_step(state: TrainState, cfg: RunConfig, labels: np.ndarray,
-              info: StepInfo | None) -> BilevelScalars:
+def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> BilevelScalars:
     """Predictor update from the collapsed scalar formula (see module doc).
 
     Requires the StepInfo produced by this iteration's encoder_step; CE is
     measured on its labeled rows' features at the pre-update and updated
     encoder parameters, with the current probe frozen.
     """
-    if info is None:
-        raise RuntimeError("pmnn_step requires the StepInfo from encoder_step")
-    if not state.use_pmnn:
+    if state.theta_d is None:
         raise RuntimeError("pmnn_step called with a constant deviation predictor")
     w, b = state.probe["w"], state.probe["b"]
     ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels)
@@ -358,8 +350,7 @@ def pmnn_step(state: TrainState, cfg: RunConfig, labels: np.ndarray,
                           scalar=scalar, guard_triggered=guard)
 
 
-def hypergradient_oracle(state: TrainState, cfg: RunConfig, info: StepInfo,
-                         x_labeled: np.ndarray,
+def hypergradient_oracle(state: TrainState, info: StepInfo, x_labeled: np.ndarray,
                          labels: np.ndarray) -> tuple[ParamSet, float, ParamSet]:
     """Exact first-order chain-rule hypergradient, independent of the scalar
     formula: eta_e * sigma'(k) * (grad CE(theta') . grad simi(theta)) * dE[g]/d(theta_d).
@@ -376,10 +367,11 @@ def hypergradient_oracle(state: TrainState, cfg: RunConfig, info: StepInfo,
     return grad_g.scale(scalar), scalar, grad_g
 
 
-def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predictor,
+def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predict,
          probe_set: list[tuple[np.ndarray, CompositeAugmentation]]) -> float:
-    """Mean absolute gap between measured deviations and the reference
-    predictor's values over a set of (image, composite) pairs."""
+    """Mean absolute gap between measured deviations and the values of the
+    reference predictor ``predict`` (composition vectors -> deviations) over
+    a set of (image, composite) pairs."""
     if not probe_set:
         raise ValueError("empty probe set")
     imgs = np.stack([img for img, _ in probe_set])
@@ -388,13 +380,19 @@ def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predictor,
     # one row per encode: a different row count can change BLAS rounding
     for img, aug, (_, comp) in zip(imgs, augmented, probe_set):
         omega = latent_deviation(enc_cfg, theta_e, img, aug)
-        g = float(predictor.predict_batch(composition_vector(comp)[None])[0])
+        g = float(predict(composition_vector(comp)[None])[0])
         gaps.append(abs(omega - g))
     return float(np.mean(gaps))
 
 
 # ---------------------------------------------------------------------------
 # Training driver
+
+
+def encoder_config(cfg: RunConfig) -> EncoderConfig:
+    """The encoder widths a run configuration asks for."""
+    return EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
+                         proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
 
 
 def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
@@ -416,7 +414,7 @@ def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
                             total_steps=total_steps),
         opt_d=opt_d,
         opt_probe=SgdState.init(probe, cfg.probe_lr, momentum=0.9),
-        master_seed=cfg.seed, use_pmnn=cfg.use_pmnn, const_deviation=cfg.const_deviation)
+        master_seed=cfg.seed, const_deviation=cfg.const_deviation)
 
 
 def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None:
@@ -477,8 +475,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
     if unlabeled.shape[0] < cfg.batch_size:
         raise ValueError("unlabeled split smaller than one batch")
 
-    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
+    enc_cfg = encoder_config(cfg)
     steps_per_epoch = unlabeled.shape[0] // cfg.batch_size
     state = init_train_state(cfg, enc_cfg, total_steps=cfg.epochs * steps_per_epoch)
     metrics: list[MetricsRecord] = []
@@ -492,7 +489,6 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
     labeled_bs = min(cfg.batch_size, n_labeled)
 
     for epoch in range(cfg.epochs):
-        state.epoch = epoch
         perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
         # never written in place: each sgd_step makes a new set
         epoch_start_theta = state.theta_e if cfg.alternation == "epoch" else None
@@ -506,11 +502,11 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
             x_lab, y_lab = labeled_x_all[lab_idx], labeled_y_all[lab_idx]
             info = encoder_step(state, cfg, unlabeled[idx], x_lab, step_tag=state.step)
-            ce = probe_step(state, x_lab, y_lab, features=info.after.labeled_features)
+            ce = probe_step(state, info.after.labeled_features, y_lab)
 
             coefficient = None
-            if state.use_pmnn and cfg.alternation == "iteration":
-                coefficient = pmnn_step(state, cfg, y_lab, info).coefficient
+            if state.theta_d is not None and cfg.alternation == "iteration":
+                coefficient = pmnn_step(state, y_lab, info).coefficient
 
             record = MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
@@ -526,19 +522,19 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
             last_info = info if cfg.alternation == "epoch" else None
             del info
 
-        if state.use_pmnn and cfg.alternation == "epoch" and last_info is not None:
+        if state.theta_d is not None and cfg.alternation == "epoch" and last_info is not None:
             lab_rng = make_rng(cfg.seed, STREAM_LABELED, cfg.epochs * steps_per_epoch + epoch)
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
             info = _epoch_pair_info(state, cfg, epoch_start_theta, last_info,
                                     labeled_x_all[lab_idx])
-            pmnn_step(state, cfg, labeled_y_all[lab_idx], info)
+            pmnn_step(state, labeled_y_all[lab_idx], info)
 
-        if state.use_pmnn:
+        if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
 
         acc = probe_accuracy(enc_cfg, state.theta_e, state.probe, labeled_x_all,
                              labeled_y_all)
-        dacl_val = dacl(enc_cfg, state.theta_e, state.predictor(),
+        dacl_val = dacl(enc_cfg, state.theta_e, state.predict,
                         _dacl_probe_set(cfg, unlabeled, epoch, cfg.seed))
         metrics.append(MetricsRecord(
             record_type="epoch", epoch=epoch, step=state.step,
@@ -559,7 +555,7 @@ def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
     last = last_info.batch
     batch = dataclasses.replace(
         last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]))
-    g_vals = state.predictor().predict_batch(batch.v)
+    g_vals = state.predict(batch.v)
     before = unsup_eval(state.enc_cfg, theta_start, batch, g_vals, state.queue,
                         cfg, want_grad=False)
     after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,

@@ -17,7 +17,7 @@ from .augment import (BasicTransform, TransformId, apply_basic, apply_composite,
                       sample_composite)
 from .config import ConfigError, RunConfig, apply_overrides, load_config, resolved_text
 from .data import synth_dataset, write_idx
-from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from .encoder import load_checkpoint, save_checkpoint
 from .numcore import ParamSet, make_rng
 
 GRAD_CHECK_TOL = 1e-5
@@ -92,8 +92,7 @@ def cmd_eval_linear(args) -> int:
     if not enc:
         raise ConfigError(f"{args.checkpoint} has no encoder segments")
     theta_e = ParamSet(enc)
-    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
+    enc_cfg = bilevel.encoder_config(cfg)
     dataset = harness.build_dataset(cfg)
     acc = harness.linear_eval(enc_cfg, theta_e, dataset, cfg, seed=cfg.seed)
     print(f"linear eval top-1 accuracy: {acc:.4f}")

@@ -1,5 +1,5 @@
 """Query/momentum encoders: MLP backbone plus projection head onto the unit
-hypersphere, with hand-derived backward passes.
+hypersphere, two ``numcore`` layer stacks with their backward passes.
 
 ``encode_batch`` returns backbone features (pre-projection) and L2-normalized
 embeddings; ``encode_backward`` turns cotangents on either output into
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write_bytes
-from .numcore import ParamSet, affine_backward, affine_forward, glorot_uniform, relu, relu_grad
+from .numcore import RELU, ParamSet, glorot_uniform, mlp_backward, mlp_forward
 
 NORM_EPS = 1e-12
 
@@ -61,26 +61,38 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> ParamSe
 
 @dataclass
 class EncodeCache:
-    """Intermediates needed by encode_backward, one row per input row."""
+    """Intermediates needed by encode_backward, one row per input row: the
+    backbone's and the head's ``mlp_forward`` caches and the normalisation."""
 
-    x: np.ndarray
-    pre_acts: list[np.ndarray]
-    hidden_acts: list[np.ndarray]
-    features: np.ndarray
-    proj_pre: list[np.ndarray]
-    proj_hidden_act: np.ndarray
+    backbone: list[tuple[np.ndarray, np.ndarray]]
+    head: list[tuple[np.ndarray, np.ndarray]]
     norms: np.ndarray
     z: np.ndarray
     zero_norm: np.ndarray       # bool per row: raw projection norm below NORM_EPS
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.backbone[0][0]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.head[0][0]
+
     def rows(self, start: int, stop: int) -> "EncodeCache":
         """The cache of rows start:stop, as views of this one."""
         sl = slice(start, stop)
-        return EncodeCache(x=self.x[sl], pre_acts=[a[sl] for a in self.pre_acts],
-                           hidden_acts=[a[sl] for a in self.hidden_acts],
-                           features=self.features[sl], proj_pre=[a[sl] for a in self.proj_pre],
-                           proj_hidden_act=self.proj_hidden_act[sl], norms=self.norms[sl],
-                           z=self.z[sl], zero_norm=self.zero_norm[sl])
+        return EncodeCache(backbone=[(x[sl], pre[sl]) for x, pre in self.backbone],
+                           head=[(x[sl], pre[sl]) for x, pre in self.head],
+                           norms=self.norms[sl], z=self.z[sl], zero_norm=self.zero_norm[sl])
+
+
+def _stacks(cfg: EncoderConfig, params: ParamSet) -> tuple[list, list]:
+    """The backbone and the projection head as ``numcore`` layer stacks over
+    the segments of ``params``."""
+    backbone = [(params[f"bb{i}.w"], params[f"bb{i}.b"], RELU) for i in range(len(cfg.hidden))]
+    head = [(params["proj0.w"], params["proj0.b"], RELU),
+            (params["proj1.w"], params["proj1.b"], None)]
+    return backbone, head
 
 
 def encode_batch(cfg: EncoderConfig, params: ParamSet,
@@ -93,27 +105,15 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
+    backbone, head = _stacks(cfg, params)
+    features, backbone_cache = mlp_forward(backbone, x)
+    proj, head_cache = mlp_forward(head, features)
 
-    pre_acts, hidden_acts = [], []
-    h = x
-    for i in range(len(cfg.hidden)):
-        pre = affine_forward(h, params[f"bb{i}.w"], params[f"bb{i}.b"])
-        pre_acts.append(pre)
-        h = relu(pre)
-        hidden_acts.append(h)
-    features = h
-
-    p0 = affine_forward(features, params["proj0.w"], params["proj0.b"])
-    a0 = relu(p0)
-    p1 = affine_forward(a0, params["proj1.w"], params["proj1.b"])
-
-    raw_norms = np.linalg.norm(p1, axis=1)
+    raw_norms = np.linalg.norm(proj, axis=1)
     norms = np.maximum(raw_norms, NORM_EPS)
-    z = p1 / norms[:, None]
-
-    cache = EncodeCache(x=x, pre_acts=pre_acts, hidden_acts=hidden_acts,
-                        features=features, proj_pre=[p0, p1], proj_hidden_act=a0,
-                        norms=norms, z=z, zero_norm=raw_norms < NORM_EPS)
+    z = proj / norms[:, None]
+    cache = EncodeCache(backbone=backbone_cache, head=head_cache, norms=norms, z=z,
+                        zero_norm=raw_norms < NORM_EPS)
     return features, z, cache
 
 
@@ -128,38 +128,30 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
     """
     out = params.zeros_like() if out is None else out
     params._check_compatible(out)
-    # in-place += on views of a zero vector stores 0 + d (so never -0.0)
-    views = dict(out.items())
+    backbone, head = _stacks(cfg, params)
+    # the same stacks over out's segments: in-place += writes into out.flat
+    out_backbone, out_head = _stacks(cfg, out)
 
-    d_feat_total = np.zeros_like(cache.features)
-    if d_features is not None:
-        d_feat_total += d_features
-
+    d_feat = np.zeros_like(cache.features) if d_features is None else d_features
     if d_z is not None:
         # Through L2 normalization: d_p = (d_z - z (z . d_z)) / ||p||.
         z, norms = cache.z, cache.norms
         inner = np.sum(z * d_z, axis=1, keepdims=True)
-        d_p1 = (d_z - z * inner) / norms[:, None]
+        d_proj = (d_z - z * inner) / norms[:, None]
+        d_head_in, grads = mlp_backward(head, cache.head, d_proj, input_grad=True)
+        _accumulate(out_head, grads)
+        d_feat = d_feat + d_head_in
 
-        d_a0, d_w, d_b = affine_backward(d_p1, cache.proj_hidden_act, params["proj1.w"])
-        views["proj1.w"] += d_w
-        views["proj1.b"] += d_b
-        d_p0 = d_a0 * relu_grad(cache.proj_pre[0])
-        d_feat, d_w, d_b = affine_backward(d_p0, cache.features, params["proj0.w"])
-        views["proj0.w"] += d_w
-        views["proj0.b"] += d_b
-        d_feat_total += d_feat
-
-    d_h = d_feat_total
-    for i in reversed(range(len(cfg.hidden))):
-        d_pre = d_h * relu_grad(cache.pre_acts[i])
-        below = cache.hidden_acts[i - 1] if i > 0 else cache.x
-        # the input layer's d_x would go to the data: it is not formed
-        d_h, d_w, d_b = affine_backward(d_pre, below, params[f"bb{i}.w"] if i > 0 else None)
-        views[f"bb{i}.w"] += d_w
-        views[f"bb{i}.b"] += d_b
-
+    _, grads = mlp_backward(backbone, cache.backbone, d_feat)
+    _accumulate(out_backbone, grads)
     return out
+
+
+def _accumulate(out_layers: list, grads: list) -> None:
+    # in-place += on views of a zero vector stores 0 + d (so never -0.0)
+    for (g_w, g_b, _), (d_w, d_b) in zip(out_layers, grads):
+        g_w += d_w
+        g_b += d_b
 
 
 def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,

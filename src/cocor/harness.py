@@ -77,8 +77,7 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
 
 def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int = 0) -> float:
     """Linear probe on a freshly initialized, untrained encoder."""
-    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
+    enc_cfg = bilevel.encoder_config(cfg)
     theta = bilevel.init_train_state(cfg, enc_cfg, total_steps=1).theta_e
     return linear_eval(enc_cfg, theta, dataset, cfg, seed=seed)
 

@@ -1,5 +1,6 @@
-"""Dense numerical core: parameter sets, layer primitives, momentum SGD with
-cosine decay, and a central-difference gradient checker.
+"""Dense numerical core: parameter sets, layer primitives and the layer stack
+every network runs on, momentum SGD with cosine decay, and a
+central-difference gradient checker.
 
 Matrices are plain 2-D float64 numpy arrays. A parameter set is one
 contiguous float64 vector with named, reshaped views of its segments, so
@@ -244,6 +245,39 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 def tanh_grad(x: np.ndarray) -> np.ndarray:
     t = np.tanh(x)
     return 1.0 - t * t
+
+
+# A layer's activation: (function, its derivative at the pre-activation).
+RELU = (relu, relu_grad)
+TANH = (np.tanh, tanh_grad)
+
+
+def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward ``x`` through ``layers`` of (weights, bias, activation), the
+    activation RELU, TANH or None (affine only). Returns the output and the
+    cache ``mlp_backward`` reads: each layer's (input, pre-activation)."""
+    cache = []
+    for weights, bias, act in layers:
+        pre = affine_forward(x, weights, bias)
+        cache.append((x, pre))
+        x = pre if act is None else act[0](pre)
+    return x, cache
+
+
+def mlp_backward(layers, cache: list, d_out: np.ndarray, input_grad: bool = False
+                 ) -> tuple[np.ndarray | None, list]:
+    """Backward through the stack ``mlp_forward`` ran, given the cotangent on
+    its output. Returns (d_x, [(d_weights, d_bias) per layer]); d_x, the
+    cotangent on the input, is formed only with ``input_grad``."""
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        weights, _, act = layers[i]
+        x, pre = cache[i]
+        if act is not None:
+            d_out = d_out * act[1](pre)
+        d_out, d_w, d_b = affine_backward(d_out, x, weights if i or input_grad else None)
+        grads[i] = (d_w, d_b)
+    return d_out, grads
 
 
 def sigmoid(x):

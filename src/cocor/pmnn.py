@@ -10,11 +10,10 @@ squashed with tanh because it predicts a cosine similarity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import ParamSet, sigmoid, softplus, tanh_grad
+from .numcore import TANH, ParamSet, mlp_backward, mlp_forward, sigmoid, softplus
 
 DEFAULT_HIDDEN = 16
 INPUT_DIM = 14
@@ -58,90 +57,34 @@ def _as_batch(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _forward(params: ParamSet, v_batch: np.ndarray):
-    u = -v_batch  # negated counts make the monotone-increasing net non-increasing in V
-    w1, w2, w3 = softplus(params["w1"]), softplus(params["w2"]), softplus(params["w3"])
-    s1 = u @ w1 + params["b1"]
-    h1 = np.tanh(s1)
-    s2 = h1 @ w2 + params["b2"]
-    h2 = np.tanh(s2)
-    s3 = h2 @ w3 + params["b3"]
-    y = np.tanh(s3[:, 0])
-    return y, (u, w1, w2, w3, s1, h1, s2, h2, s3)
+def _stack(params: ParamSet) -> list:
+    """The predictor as a ``numcore`` tanh stack over its softplus weights."""
+    return [(softplus(params[f"w{i}"]), params[f"b{i}"], TANH) for i in (1, 2, 3)]
 
 
 def predict_batch(params: ParamSet, v_batch: np.ndarray) -> np.ndarray:
     """Predicted deviations in (-1, 1), one per composition vector row."""
-    y, _ = _forward(params, _as_batch(v_batch))
-    return y
+    # negated counts make the monotone-increasing net non-increasing in V
+    y, _ = mlp_forward(_stack(params), -_as_batch(v_batch))
+    return y[:, 0]
 
 
-def grad_wrt_params(params: ParamSet, v_batch: np.ndarray,
-                    weights: np.ndarray | None = None) -> ParamSet:
-    """Gradient of the weighted sum of predictions w.r.t. the raw parameters.
+def grad_wrt_params(params: ParamSet, v_batch: np.ndarray) -> ParamSet:
+    """Gradient of the batch-mean prediction w.r.t. the raw parameters.
 
-    ``weights`` defaults to 1/B per row, giving the gradient of the batch
-    mean. The chain rule runs through the softplus reparameterization, so the
+    The chain rule runs through the softplus reparameterization, so the
     returned segments live in raw-parameter space.
     """
     v_batch = _as_batch(v_batch)
     n = v_batch.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError(f"weights shape {weights.shape} != ({n},)")
-
-    y, (u, w1, w2, w3, s1, h1, s2, h2, s3) = _forward(params, v_batch)
-
-    d_s3 = (weights * tanh_grad(s3[:, 0]))[:, None]
-    d_w3_eff = h2.T @ d_s3
-    d_b3 = d_s3.sum(axis=0)
-    d_h2 = d_s3 @ w3.T
-
-    d_s2 = d_h2 * tanh_grad(s2)
-    d_w2_eff = h1.T @ d_s2
-    d_b2 = d_s2.sum(axis=0)
-    d_h1 = d_s2 @ w2.T
-
-    d_s1 = d_h1 * tanh_grad(s1)
-    d_w1_eff = u.T @ d_s1
-    d_b1 = d_s1.sum(axis=0)
-
-    # d effective / d raw = sigmoid(raw)
-    return ParamSet({
-        "w1": d_w1_eff * sigmoid(params["w1"]),
-        "b1": d_b1,
-        "w2": d_w2_eff * sigmoid(params["w2"]),
-        "b2": d_b2,
-        "w3": d_w3_eff * sigmoid(params["w3"]),
-        "b3": d_b3,
-    })
-
-
-# ---------------------------------------------------------------------------
-# Predictor objects shared by the training loop, metrics, and ablations
-
-
-class PmnnPredictor:
-    """Learned predictor backed by a parameter set (mutated by training)."""
-
-    def __init__(self, params: ParamSet):
-        self.params = params
-
-    def predict_batch(self, v_batch: np.ndarray) -> np.ndarray:
-        return predict_batch(self.params, v_batch)
-
-
-@dataclass(frozen=True)
-class ConstantPredictor:
-    """Fixed deviation regardless of composition; the ablation baseline."""
-
-    value: float
-
-    def predict_batch(self, v_batch: np.ndarray) -> np.ndarray:
-        v_batch = _as_batch(v_batch)
-        return np.full(v_batch.shape[0], self.value)
+    layers = _stack(params)
+    _, cache = mlp_forward(layers, -v_batch)
+    _, grads = mlp_backward(layers, cache, np.full((n, 1), 1.0 / n))
+    segments = {}
+    for i, (d_w_eff, d_b) in enumerate(grads, start=1):
+        # d effective / d raw = sigmoid(raw)
+        segments[f"w{i}"] = d_w_eff * sigmoid(params[f"w{i}"])
+        segments[f"b{i}"] = d_b
+    return ParamSet(segments)

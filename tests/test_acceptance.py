@@ -19,7 +19,7 @@ from cocor.bilevel import (deviation_gap_coefficient, encoder_step,
 from cocor.cli import main as cli_main
 from cocor.config import RunConfig
 from cocor.data import synth_dataset
-from cocor.encoder import EncoderConfig
+from cocor.encoder import EncoderConfig, encode_batch
 from cocor.gradsuite import run_gradient_suite
 from cocor.harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
 from cocor.losses import NegativeQueue, contrastive_loss
@@ -137,8 +137,9 @@ def _fidelity_instance(seed):
     state.opt_probe = SgdState.init(state.probe, cfg.probe_lr, momentum=0.9)
     keys = rng.standard_normal((8, 4))
     state.queue.push(keys / np.linalg.norm(keys, axis=1, keepdims=True))
+    features = encode_batch(enc_cfg, state.theta_e, x_lab)[0]
     for _ in range(15):
-        probe_step(state, x_lab, y_lab)
+        probe_step(state, features, y_lab)
     return cfg, state, imgs, x_lab, y_lab
 
 
@@ -156,8 +157,8 @@ def test_criterion_4_hypergradient_fidelity():
         except ValueError:
             continue  # degenerate dead-projection init on a tiny net
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, cfg, info, x_lab, y_lab)
-        scalars = pmnn_step(state, cfg, y_lab, info)
+            state, info, x_lab, y_lab)
+        scalars = pmnn_step(state, y_lab, info)
         if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
             continue
         n_valid += 1
@@ -264,8 +265,9 @@ def test_criterion_9_stop_gradient_and_queue():
     y = ds.labels[:6]
     snapshot = state.theta_e.flat.copy()
     from cocor.bilevel import probe_ce
+    features = encode_batch(enc_cfg, state.theta_e, x)[0]
     for _ in range(5):
-        probe_step(state, x, y)
+        probe_step(state, features, y)
     probe_ce(enc_cfg, state.theta_e, state.probe, x, y, want_encoder_grad=True)
     stop_grad_ok = bool(np.array_equal(state.theta_e.flat, snapshot))
 

@@ -101,18 +101,13 @@ class TestUnsupEval:
         counts = []
         for labeled in (np.empty((0, cfg.input_dim)), zeros):
             batch = build_step_batch(state, cfg, imgs, labeled, stream=5, step_tag=0)
-            g_vals = state.predictor().predict_batch(batch.v)
+            g_vals = state.predict(batch.v)
             counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
                                      cfg, want_grad=False).zero_norms)
         assert counts[1] == counts[0]
 
 
 class TestPmnnStep:
-    def test_missing_info_is_sequencing_error(self):
-        cfg, state, _, _, y_lab = tiny_instance(5)
-        with pytest.raises(RuntimeError):
-            pmnn_step(state, cfg, y_lab, None)
-
     def test_equal_ce_means_zero_update(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(6)
         # theta_before == current params (so the same labeled features) ->
@@ -125,7 +120,7 @@ class TestPmnnStep:
                                        labeled_features=batch_info.after.labeled_features),
             after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, cfg, y_lab, info)
+        scalars = pmnn_step(state, y_lab, info)
         assert not scalars.guard_triggered
         assert scalars.scalar == 0.0
         assert scalars.ce_after == scalars.ce_before
@@ -138,7 +133,7 @@ class TestPmnnStep:
         info = dataclasses.replace(batch_info, after=dataclasses.replace(
             batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, cfg, y_lab, info)
+        scalars = pmnn_step(state, y_lab, info)
         assert scalars.guard_triggered
         assert state.guard_count == 1
         for name in theta_d_before.names():
@@ -149,7 +144,7 @@ class TestPmnnStep:
         info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         theta_d_before = state.theta_d.copy()
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
-        scalars = pmnn_step(state, cfg, y_lab, info)
+        scalars = pmnn_step(state, y_lab, info)
         assert not scalars.guard_triggered and scalars.scalar != 0.0
         delta = state.theta_d.flat - theta_d_before.flat
         cos = delta @ grad_g / (np.linalg.norm(delta) * np.linalg.norm(grad_g))
@@ -160,7 +155,7 @@ class TestPmnnStep:
         rng = make_rng(81)
         for step in range(5):
             info = encoder_step(state, cfg, imgs, x_lab, step_tag=step)
-            pmnn_step(state, cfg, y_lab, info)
+            pmnn_step(state, y_lab, info)
         for _ in range(100):
             v = rng.integers(0, 9, size=14)
             i = int(rng.integers(0, 14))
@@ -174,7 +169,7 @@ class TestProbeStep:
     def test_encoder_bitwise_unchanged(self):
         cfg, state, _, x_lab, y_lab = tiny_instance(10)
         before = state.theta_e.copy()
-        probe_step(state, x_lab, y_lab)
+        probe_step(state, encode_batch(state.enc_cfg, state.theta_e, x_lab)[0], y_lab)
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
 
@@ -195,8 +190,9 @@ class TestProbeStep:
         state.probe = ParamSet({"w": np.zeros((8, 3)), "b": np.zeros(3)})
         state.opt_probe = SgdState.init(state.probe, 0.5, momentum=0.9)
         acc = 0.0
+        features = encode_batch(state.enc_cfg, state.theta_e, x)[0]
         for step in range(200):
-            probe_step(state, x, y)
+            probe_step(state, features, y)
             from cocor.bilevel import probe_accuracy
             acc = probe_accuracy(state.enc_cfg, state.theta_e, state.probe, x, y)
             if acc == 1.0:
@@ -206,7 +202,21 @@ class TestProbeStep:
     def test_label_out_of_range(self):
         cfg, state, _, x_lab, _ = tiny_instance(13)
         with pytest.raises(ValueError):
-            probe_step(state, x_lab, np.full(x_lab.shape[0], 99))
+            probe_step(state, encode_batch(state.enc_cfg, state.theta_e, x_lab)[0],
+                       np.full(x_lab.shape[0], 99))
+
+
+class TestPredict:
+    def test_constant_arm_gives_const_deviation_per_row(self):
+        _, state, _, _, _ = tiny_instance(29, use_pmnn=False, const_deviation=0.4)
+        assert state.theta_d is None
+        np.testing.assert_array_equal(state.predict(np.zeros((3, 14))), [0.4, 0.4, 0.4])
+
+    def test_learned_arm_tracks_theta_d(self):
+        _, state, _, _, _ = tiny_instance(29)
+        v = np.ones((2, 14), dtype=np.int64)
+        state.theta_d = pmnn.init_pmnn_params(make_rng(30), hidden=4)
+        np.testing.assert_array_equal(state.predict(v), pmnn.predict_batch(state.theta_d, v))
 
 
 class TestOracle:
@@ -214,7 +224,7 @@ class TestOracle:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(14)
         info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, cfg, info, x_lab, y_lab)
+            state, info, x_lab, y_lab)
         np.testing.assert_allclose(oracle_grad.flat,
                                    oracle_scalar * grad_g.flat, atol=1e-15)
 
@@ -254,7 +264,7 @@ class TestDacl:
             def predict_batch(self, v_batch):
                 return np.array([next(it)])
 
-        assert dacl(state.enc_cfg, state.theta_e, Seq(), probe_set) < 1e-12
+        assert dacl(state.enc_cfg, state.theta_e, Seq().predict_batch, probe_set) < 1e-12
 
     def test_constant_offset_gives_offset(self):
         state, probe_set = self._setup(17)
@@ -273,15 +283,14 @@ class TestDacl:
             def predict_batch(self, v_batch):
                 return np.array([next(it) - 0.1])
 
-        val = dacl(state.enc_cfg, state.theta_e, OffsetRef(), probe_set)
+        val = dacl(state.enc_cfg, state.theta_e, OffsetRef().predict_batch, probe_set)
         assert abs(val - 0.1) < 1e-12
 
     def test_matches_scalar_oracle(self):
         state, probe_set = self._setup(18)
         from cocor.encoder import encode_batch
-        from cocor.pmnn import ConstantPredictor
 
-        predictor = ConstantPredictor(0.3)
+        state.theta_d, state.const_deviation = None, 0.3
         gaps = []
         for img, comp in probe_set:
             flat = img.reshape(1, -1)
@@ -289,7 +298,7 @@ class TestDacl:
             _, zr, _ = encode_batch(state.enc_cfg, state.theta_e, flat)
             _, za, _ = encode_batch(state.enc_cfg, state.theta_e, aug)
             gaps.append(abs(float(np.sum(zr * za)) - 0.3))
-        val = dacl(state.enc_cfg, state.theta_e, predictor, probe_set)
+        val = dacl(state.enc_cfg, state.theta_e, state.predict, probe_set)
         assert abs(val - np.mean(gaps)) < 1e-12
 
     def test_empty_set_rejected(self):

@@ -41,6 +41,12 @@ PINNED_DIGESTS = [
     ("alternation = epoch\nvariant = abs\n",
      ("5ebc7797e3d7c0e126f81afc59cd2ffe03482d94295276af88097347aa19161f",
       "8cd030a5a221366a45f0797a77dd79da8ab154161cb5ff75372d233290f9c8bf")),
+    ("use_pmnn = false\nconst_deviation = 0.7\n",
+     ("d54a070b994fae31a973b6dd18e99ad5b9825f17db0a8308a49cf0a13f82206d",
+      "828adb777a693ea7bb6d9fcf50bdc1862a20d6891a879003309e2e819349dacf")),
+    ("hidden = 24,20,16\n",
+     ("0bd85c39a2a2b0e15cefc3f08aee6a6642ca4e4e58c548b86d5f9c3f969c26ac",
+      "0d14827fac8fb67e5f38d2d7d598981159fb1d35aeddfdaaecfbd9d104acd63a")),
 ]
 
 

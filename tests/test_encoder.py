@@ -39,17 +39,23 @@ class TestEncode:
         np.testing.assert_allclose(z1[0], b / np.linalg.norm(b), atol=1e-12)
         np.testing.assert_array_equal(z1, z2)
 
-    def test_gradient_of_linear_functional_passes(self):
-        params = params_for(6)
+    @pytest.mark.parametrize("hidden", [(9,), (10, 8), (10, 9, 8)],
+                             ids=["depth1", "depth2", "depth3"])
+    def test_gradient_of_linear_functional_passes(self, hidden):
+        # cotangents on both outputs: z through the head, features directly
+        cfg = EncoderConfig(input_dim=12, hidden=hidden, proj_hidden=6, embed_dim=4)
+        params = init_encoder_params(cfg, make_rng(6, 70))
         x = make_rng(7, 74).uniform(0.1, 0.9, size=(2, 12))
         c = make_rng(8, 75).standard_normal(4)
+        c_feat = make_rng(9, 75).standard_normal(hidden[-1])
 
         def loss_fn(p):
-            _, z, _ = encode_batch(CFG, p, x)
-            return float(np.sum(z @ c))
+            features, z, _ = encode_batch(cfg, p, x)
+            return float(np.sum(z @ c) + np.sum(features @ c_feat))
 
-        _, z, cache = encode_batch(CFG, params, x)
-        analytic = encode_backward(CFG, params, cache, d_z=np.tile(c, (2, 1)))
+        _, z, cache = encode_batch(cfg, params, x)
+        analytic = encode_backward(cfg, params, cache, d_z=np.tile(c, (2, 1)),
+                                   d_features=np.tile(c_feat, (2, 1)))
         assert grad_check(loss_fn, params, analytic) < 1e-5
 
     def test_feature_gradient_passes(self):

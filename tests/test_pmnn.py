@@ -108,16 +108,3 @@ class TestGradients:
         with pytest.raises(ValueError):
             pmnn.grad_wrt_params(params, np.zeros((0, 14)))
 
-
-class TestPredictors:
-    def test_constant_predictor(self):
-        p = pmnn.ConstantPredictor(0.4)
-        out = p.predict_batch(np.zeros((3, 14)))
-        np.testing.assert_array_equal(out, [0.4, 0.4, 0.4])
-
-    def test_learned_predictor_tracks_params(self):
-        params = pmnn.init_pmnn_params(make_rng(29), hidden=4)
-        wrapper = pmnn.PmnnPredictor(params)
-        v = np.ones((1, 14), dtype=np.int64)
-        np.testing.assert_array_equal(wrapper.predict_batch(v),
-                                      pmnn.predict_batch(params, v))

@@ -38,7 +38,7 @@ from .encoder import (EncoderConfig, encode_backward, encode_batch, init_encoder
                       latent_deviation, momentum_update)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
-from .numcore import ParamSet, SgdState, make_rng, path_rngs, sgd_step
+from .numcore import ParamSet, SgdState, make_rng, mean, path_rngs, sgd_step
 
 DENOM_GUARD = 1e-8
 
@@ -211,14 +211,14 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
     """
     features, z, cache = encode_batch(enc_cfg, theta, batch.x)
     r, a, lab = batch.starts()
-    lc, d_zq = contrastive_loss(z[:r], batch.z_keys, queue, cfg.tau)
+    lc, d_zq = contrastive_loss(z[:r], batch.z_keys, queue, cfg.tau, want_grad)
     z_raw, z_aug = z[r:a], z[a:lab]
-    omega = np.sum(z_raw * z_aug, axis=1)
-    simi = float(np.mean(omega))
+    omega = np.add.reduce(z_raw * z_aug, axis=1)   # as np.sum
+    simi = mean(omega)
     lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
-        omega, g_vals, batch.lengths)
+        omega, g_vals, batch.lengths, want_grad)
     lu = lc + lcons
-    k_pooled = float(np.mean(omega - g_vals))
+    k_pooled = mean(omega - g_vals)
     zero_norms = int(np.count_nonzero(cache.zero_norm[:lab]))
 
     grads = None
@@ -243,7 +243,7 @@ def simi_and_grad(enc_cfg: EncoderConfig, theta: ParamSet, x_raw: np.ndarray,
     n = omega.size
     grads = encode_backward(enc_cfg, theta, cache_r, d_z=z_aug / n)
     encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n, out=grads)
-    return float(np.mean(omega)), grads
+    return mean(omega), grads
 
 
 def probe_logits(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
@@ -269,7 +269,7 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
     hypergradient oracle, not an update path.
     """
     logits, cache = probe_logits(enc_cfg, theta_e, probe, x)
-    ce, d_logits = cross_entropy(logits, labels)
+    ce, d_logits = cross_entropy(logits, labels, want_encoder_grad)
     if not want_encoder_grad:
         return ce, None
     d_feat = d_logits @ probe["w"].T
@@ -329,8 +329,8 @@ def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> BilevelS
     if state.theta_d is None:
         raise RuntimeError("pmnn_step called with a constant deviation predictor")
     w, b = state.probe["w"], state.probe["b"]
-    ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels)
-    ce_after, _ = cross_entropy(info.after.labeled_features @ w + b, labels)
+    ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels, want_grad=False)
+    ce_after, _ = cross_entropy(info.after.labeled_features @ w + b, labels, want_grad=False)
 
     d_lu = info.after.lu - info.before.lu
     coefficient = deviation_gap_coefficient(info.before.k_pooled)

@@ -85,18 +85,36 @@ def cmd_eval_linear(args) -> int:
     cfg = _resolve_config(args)
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    _echo_config(cfg)
     container = load_checkpoint(args.checkpoint)
     enc = {name[len("encoder."):]: container[name]
            for name in container.names() if name.startswith("encoder.")}
     if not enc:
         raise ConfigError(f"{args.checkpoint} has no encoder segments")
-    theta_e = ParamSet(enc)
     enc_cfg = bilevel.encoder_config(cfg)
+    _check_encoder_layout(args.checkpoint, enc_cfg, enc)
+    _echo_config(cfg)  # only once the checkpoint is known to fit the config
+    theta_e = ParamSet(enc)
     dataset = harness.build_dataset(cfg)
     acc = harness.linear_eval(enc_cfg, theta_e, dataset, cfg, seed=cfg.seed)
     print(f"linear eval top-1 accuracy: {acc:.4f}")
     return 0
+
+
+def _check_encoder_layout(path: str, enc_cfg, segments: dict) -> None:
+    """Raise ConfigError naming the first checkpoint encoder segment that is
+    missing, misshapen or extra for the configured encoder."""
+    expected = enc_cfg.segment_shapes()
+    for name, shape in expected.items():
+        if name not in segments:
+            raise ConfigError(f"{path}: no segment 'encoder.{name}', which the configured "
+                              f"encoder needs with shape {shape}")
+        if segments[name].shape != shape:
+            raise ConfigError(f"{path}: segment 'encoder.{name}' has shape "
+                              f"{segments[name].shape}, the configured encoder needs {shape}")
+    for name in segments:
+        if name not in expected:
+            raise ConfigError(f"{path}: segment 'encoder.{name}' is not part of the "
+                              f"configured encoder")
 
 
 def cmd_ablate_pmnn(args) -> int:

@@ -7,6 +7,7 @@ next to a run's outputs is itself a loadable config.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -64,6 +65,10 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            # NaN fails no ordered comparison below, so it is caught here
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dataset not in DATASETS:
             raise ConfigError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         if self.dataset == "idx" and (not self.idx_images or not self.idx_labels):

@@ -50,6 +50,15 @@ class EncoderConfig:
         dims.append(("proj1", self.proj_hidden, self.embed_dim))
         return dims
 
+    def segment_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter segment, in the order
+        ``init_encoder_params`` lays them out."""
+        shapes = {}
+        for name, fan_in, fan_out in self.layer_dims():
+            shapes[f"{name}.w"] = (fan_in, fan_out)
+            shapes[f"{name}.b"] = (fan_out,)
+        return shapes
+
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> ParamSet:
     segments = {}
@@ -109,7 +118,7 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     features, backbone_cache = mlp_forward(backbone, x)
     proj, head_cache = mlp_forward(head, features)
 
-    raw_norms = np.linalg.norm(proj, axis=1)
+    raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=1))  # np.linalg.norm's own sum
     norms = np.maximum(raw_norms, NORM_EPS)
     z = proj / norms[:, None]
     cache = EncodeCache(backbone=backbone_cache, head=head_cache, norms=norms, z=z,

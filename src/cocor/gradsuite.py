@@ -15,7 +15,7 @@ from .config import VARIANTS, RunConfig
 from .encoder import EncoderConfig, encode_backward, encode_batch, init_encoder_params
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss)
-from .numcore import ParamSet, grad_check, make_rng
+from .numcore import ParamSet, grad_check, make_rng, mean
 
 TINY_ENC = EncoderConfig(input_dim=10, hidden=(8, 6), proj_hidden=5, embed_dim=4)
 
@@ -116,7 +116,7 @@ def check_pmnn_mean_output(seed: int = 0) -> float:
             row[idx] += 1
 
     def loss_fn(p: ParamSet) -> float:
-        return float(np.mean(pmnn.predict_batch(p, v_batch)))
+        return mean(pmnn.predict_batch(p, v_batch))
 
     analytic = pmnn.grad_wrt_params(params, v_batch)
     return grad_check(loss_fn, params, analytic)

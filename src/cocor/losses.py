@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import sigmoid, softplus
+from .numcore import mean, sigmoid, softplus
 
 UNIT_NORM_TOL = 1e-6
 
@@ -61,8 +61,9 @@ class NegativeQueue:
 
 
 def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
-                     tau: float) -> tuple[float, np.ndarray]:
-    """Mean InfoNCE over the batch; returns (loss, d_z).
+                     tau: float, want_grad: bool = True) -> tuple[float, np.ndarray | None]:
+    """Mean InfoNCE over the batch; returns (loss, d_z), d_z None without
+    ``want_grad``.
 
     Per sample: -log( e^{z.z+ / tau} / (e^{z.z+ / tau} + sum_j e^{z.q_j / tau}) ).
     Queue rows are treated as constants.
@@ -78,18 +79,19 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
     negs = queue.as_matrix()
 
     b = z.shape[0]
-    pos_logits = np.sum(z * z_pos, axis=1) / tau            # (B,)
+    pos_logits = np.add.reduce(z * z_pos, axis=1) / tau     # (B,), as np.sum
     neg_logits = (z @ negs.T) / tau                          # (B, N)
     logits = np.concatenate([pos_logits[:, None], neg_logits], axis=1)
 
-    shift = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
-    log_probs = (logits - shift) - np.log(denom)
-    loss = float(np.mean(-log_probs[:, 0]))
+    # only the positive column of the log-softmax is read
+    loss = mean(-(shifted[:, 0] - np.log(denom[:, 0])))
+    if not want_grad:
+        return loss, None
 
-    probs = exp / denom
-    d_logits = probs.copy()
+    d_logits = exp / denom
     d_logits[:, 0] -= 1.0
     d_logits /= b
 
@@ -109,57 +111,69 @@ def _gaps(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
     if omega.size == 0:
         raise ValueError("empty batch")
     diff = omega - g
-    masks = {int(l): lengths == l for l in np.unique(lengths)}
-    return diff, masks, {l: float(np.mean(diff[m])) for l, m in masks.items()}
+    masks = {int(l): lengths == l for l in sorted(set(lengths.tolist()))}
+    return diff, masks, {l: mean(diff[m]) for l, m in masks.items()}
 
 
-def consistency_loss_abs(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
-                         ) -> tuple[float, np.ndarray, dict[int, float]]:
+def consistency_loss_abs(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray,
+                         want_grad: bool = True
+                         ) -> tuple[float, np.ndarray | None, dict[int, float]]:
     """Mean |omega - g|; subgradient 0 at exact ties.
 
-    Returns (loss, d_omega, mean gap k_l per length).
+    Returns (loss, d_omega, mean gap k_l per length), d_omega None without
+    ``want_grad``.
     """
     diff, _, k_by_length = _gaps(omega, g, lengths)
-    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size, k_by_length
+    d_omega = np.sign(diff) / diff.size if want_grad else None
+    return mean(np.abs(diff)), d_omega, k_by_length
 
 
-def consistency_loss_softplus(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
-                              ) -> tuple[float, np.ndarray, dict[int, float]]:
+def consistency_loss_softplus(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray,
+                              want_grad: bool = True
+                              ) -> tuple[float, np.ndarray | None, dict[int, float]]:
     """Per-length softplus of the group-mean gap.
 
     For each configured length l with samples (omega_i, g_i):
     k_l = mean(omega - g); loss = mean over lengths of softplus(k_l).
-    Returns (loss, d_omega, k_l per length).
+    Returns (loss, d_omega, k_l per length), d_omega None without
+    ``want_grad``.
     """
     diff, masks, k_by_length = _gaps(omega, g, lengths)
     n_lengths = len(masks)
     loss = 0.0
+    for k in k_by_length.values():
+        loss += softplus(k) / n_lengths
+    if not want_grad:
+        return loss, None, k_by_length
     d_omega = np.zeros_like(diff)
     for length, mask in masks.items():
-        k = k_by_length[length]
-        loss += float(softplus(k)) / n_lengths
-        d_omega[mask] = float(sigmoid(k)) / (n_lengths * np.count_nonzero(mask))
+        d_omega[mask] = sigmoid(k_by_length[length]) / (n_lengths * np.count_nonzero(mask))
     return loss, d_omega, k_by_length
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-softmax of the true class; grad = (softmax - onehot)/B."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                  want_grad: bool = True) -> tuple[float, np.ndarray | None]:
+    """Mean negative log-softmax of the true class; grad = (softmax - onehot)/B,
+    None without ``want_grad``."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels)
     b, c = logits.shape
     if labels.shape != (b,):
         raise ValueError(f"labels shape {labels.shape} != ({b},)")
-    if np.any(labels < 0) or np.any(labels >= c):
+    if (labels < 0).any() or (labels >= c).any():
         raise ValueError(f"labels must lie in [0, {c})")
+    rows = np.arange(b)
     labels = labels.astype(np.int64)
 
-    shift = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
-    log_probs = (logits - shift) - np.log(denom)
-    loss = float(np.mean(-log_probs[np.arange(b), labels]))
+    # only the true class's entry of the log-softmax is read
+    loss = mean(-(shifted[rows, labels] - np.log(denom[:, 0])))
+    if not want_grad:
+        return loss, None
 
     d_logits = exp / denom
-    d_logits[np.arange(b), labels] -= 1.0
+    d_logits[rows, labels] -= 1.0
     d_logits /= b
     return loss, d_logits

@@ -1,4 +1,4 @@
-"""Dense numerical core: parameter sets, layer primitives and the layer stack
+"""Dense numerical core: parameter sets, activations and the layer stack
 every network runs on, momentum SGD with cosine decay, and a
 central-difference gradient checker.
 
@@ -206,31 +206,7 @@ class ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives
-
-
-def affine_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weights + bias, bias broadcast across rows."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 2 or weights.ndim != 2:
-        raise ValueError("affine_forward expects 2-D input and weights")
-    if x.shape[1] != weights.shape[0]:
-        raise ValueError(f"input cols {x.shape[1]} != weight rows {weights.shape[0]}")
-    if bias.shape != (weights.shape[1],):
-        raise ValueError(f"bias shape {bias.shape} != ({weights.shape[1]},)")
-    return x @ weights + bias
-
-
-def affine_backward(d_out: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None
-                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_weights, d_bias) for affine_forward; d_x is None
-    without ``weights`` (for an input layer, whose d_x nothing reads)."""
-    d_x = None if weights is None else d_out @ weights.T
-    d_w = x.T @ d_out
-    d_b = d_out.sum(axis=0)
-    return d_x, d_w, d_b
+# Layer stacks
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -252,13 +228,34 @@ RELU = (relu, relu_grad)
 TANH = (np.tanh, tanh_grad)
 
 
+def _check_chain(layers, x: np.ndarray) -> None:
+    """Raise ValueError unless ``x`` and the layers' weights are 2-D and each
+    layer's weights and bias fit the width that reaches it."""
+    if x.ndim != 2:
+        raise ValueError("mlp_forward expects 2-D input and weights")
+    cols = x.shape[1]
+    for weights, bias, _ in layers:
+        if weights.ndim != 2:
+            raise ValueError("mlp_forward expects 2-D input and weights")
+        if cols != weights.shape[0]:
+            raise ValueError(f"input cols {cols} != weight rows {weights.shape[0]}")
+        cols = weights.shape[1]
+        if bias.shape != (cols,):
+            raise ValueError(f"bias shape {bias.shape} != ({cols},)")
+
+
 def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward ``x`` through ``layers`` of (weights, bias, activation), the
-    activation RELU, TANH or None (affine only). Returns the output and the
-    cache ``mlp_backward`` reads: each layer's (input, pre-activation)."""
+    activation RELU, TANH or None (affine only): each layer computes
+    act(x @ weights + bias), bias broadcast across rows. Every array is
+    float64; the shape chain is checked once, before the first layer.
+    Returns the output and the cache ``mlp_backward`` reads: each layer's
+    (input, pre-activation)."""
+    _check_chain(layers, x)
     cache = []
     for weights, bias, act in layers:
-        pre = affine_forward(x, weights, bias)
+        pre = x @ weights
+        pre += bias
         cache.append((x, pre))
         x = pre if act is None else act[0](pre)
     return x, cache
@@ -275,13 +272,26 @@ def mlp_backward(layers, cache: list, d_out: np.ndarray, input_grad: bool = Fals
         x, pre = cache[i]
         if act is not None:
             d_out = d_out * act[1](pre)
-        d_out, d_w, d_b = affine_backward(d_out, x, weights if i or input_grad else None)
-        grads[i] = (d_w, d_b)
+        grads[i] = (x.T @ d_out, d_out.sum(axis=0))
+        # the input layer's d_x only on request: nothing reads it in training
+        d_out = d_out @ weights.T if i or input_grad else None
     return d_out, grads
+
+
+def mean(x: np.ndarray) -> float:
+    """np.mean of a float64 array without its dispatch: the same pairwise
+    sum over every entry divided by the same count, so the same bits."""
+    return float(np.add.reduce(x, axis=None) / x.size)
 
 
 def sigmoid(x):
     """Numerically stable logistic function."""
+    if isinstance(x, float):
+        # a scalar takes its own branch through the same numpy functions
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -293,6 +303,11 @@ def sigmoid(x):
 
 def softplus(x):
     """ln(1 + e^x); switches to x + ln(1 + e^-x) above 30 to avoid overflow."""
+    if isinstance(x, float):
+        # a scalar takes its own branch through the same numpy functions
+        if x > 30.0:
+            return float(x + np.log1p(np.exp(-x)))
+        return float(np.log1p(np.exp(x)))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     big = x > 30.0

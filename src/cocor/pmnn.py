@@ -52,7 +52,7 @@ def _as_batch(v: np.ndarray) -> np.ndarray:
         v = v[None, :]
     if v.ndim != 2 or v.shape[1] != INPUT_DIM:
         raise ValueError(f"composition vectors must have {INPUT_DIM} entries, got {v.shape}")
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValueError("composition vector entries must be non-negative")
     return v
 

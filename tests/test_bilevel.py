@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestUnsupEval:
                                      cfg, want_grad=False).zero_norms)
         assert counts[1] == counts[0]
 
+    @pytest.mark.parametrize("variant", ["abs", "softplus"])
+    def test_loss_only_call_matches_gradient_call_bitwise(self, variant):
+        cfg, state, imgs, x_lab, _ = tiny_instance(16, variant=variant, lengths=(1, 2, 3))
+        batch = build_step_batch(state, cfg, imgs, x_lab, stream=5, step_tag=0)
+        g_vals = state.predict(batch.v)
+        full, loss_only = (unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals,
+                                      state.queue, cfg, want_grad)
+                           for want_grad in (True, False))
+        assert full.grads is not None and loss_only.grads is None
+        # pickle keeps every float's 8 bytes, dict order and array bytes
+        for field in dataclasses.fields(bilevel.UnsupEval):
+            if field.name != "grads":
+                assert (pickle.dumps(getattr(loss_only, field.name))
+                        == pickle.dumps(getattr(full, field.name))), field.name
+
 
 class TestPmnnStep:
     def test_equal_ce_means_zero_update(self):
@@ -172,6 +188,14 @@ class TestProbeStep:
         probe_step(state, encode_batch(state.enc_cfg, state.theta_e, x_lab)[0], y_lab)
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
+
+    def test_loss_only_ce_matches_gradient_call_bitwise(self):
+        cfg, state, _, x_lab, y_lab = tiny_instance(14)
+        ce, grad = probe_ce(state.enc_cfg, state.theta_e, state.probe, x_lab, y_lab,
+                            want_encoder_grad=True)
+        ce_only, none = probe_ce(state.enc_cfg, state.theta_e, state.probe, x_lab, y_lab)
+        assert grad is not None and none is None
+        assert ce_only.hex() == ce.hex()
 
     def test_ce_measurement_never_mutates_encoder(self):
         cfg, state, _, x_lab, y_lab = tiny_instance(11)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from cocor import gradsuite
+from cocor.bilevel import encoder_config
 from cocor.cli import main
 from cocor.config import RunConfig, load_config, resolved_text
 from cocor.data import load_idx
-from cocor.encoder import save_checkpoint
-from cocor.numcore import ParamSet
+from cocor.encoder import init_encoder_params, save_checkpoint
+from cocor.numcore import ParamSet, make_rng
 
 TINY_CFG = """
 # tiny smoke-test run
@@ -105,6 +106,26 @@ class TestPretrain:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_flag_exits_one_naming_tau(self, tiny_config, tmp_path,
+                                                      capsys, value):
+        code = main(["pretrain", "--config", tiny_config, "--tau", value,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "tau" in err and "runtime error" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["eta_e", "eta_d", "probe_lr", "eval_lr", "magnitude",
+                                     "noise", "weight_decay", "const_deviation"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_in_file_exits_one_naming_key(self, tmp_path, capsys,
+                                                           key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG + f"{key} = {value}\n")
+        assert main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
@@ -180,6 +201,24 @@ class TestOtherCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert "dup.ccor" in err and "encoder.bb0.w" in err
+
+    @pytest.mark.parametrize("hidden, segment", [("10,8,8", "encoder.bb2.w"),
+                                                 ("10,6", "encoder.bb1.w")],
+                             ids=["deeper", "narrower"])
+    def test_checkpoint_layout_mismatch_exits_one(self, tiny_config, tmp_path, capsys,
+                                                  hidden, segment):
+        # a checkpoint of the tiny config's encoder, read under another layout
+        enc = init_encoder_params(encoder_config(load_config(tiny_config)), make_rng(0))
+        path = tmp_path / "tiny.ccor"
+        save_checkpoint(str(path), ParamSet({f"encoder.{k}": v for k, v in enc.items()}))
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY_CFG + f"hidden = {hidden}\n")
+        code = main(["eval-linear", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{segment}'" in err and "tiny.ccor" in err and "runtime error" not in err
+        assert not (tmp_path / "e").exists()  # a rejected checkpoint leaves no output
 
     def test_checkpoint_missing_exits_one(self, tiny_config, tmp_path, capsys):
         code = main(["eval-linear", "--config", tiny_config,

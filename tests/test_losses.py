@@ -1,5 +1,6 @@
 import collections
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -298,6 +299,49 @@ class TestCrossEntropy:
 
     def test_gradient_passes(self):
         assert check_cross_entropy_probe(39) < 1e-5
+
+
+def bits(value):
+    # pickle keeps every float's 8 bytes (so -0.0 too) and dict order
+    return pickle.dumps(value)
+
+
+class TestLossOnly:
+    """Each loss with want_grad=False returns bitwise what its gradient call
+    returns, and None for the cotangent."""
+
+    def test_contrastive(self):
+        rng = make_rng(37)
+        z, z_pos = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
+        q = NegativeQueue(capacity=32, dim=6)
+        q.push(unit_rows(rng, 20, 6))
+        for tau in (0.2, 0.01):
+            loss, d_z = contrastive_loss(z, z_pos, q, tau)
+            loss_only, none = contrastive_loss(z, z_pos, q, tau, want_grad=False)
+            assert d_z is not None and none is None
+            assert bits(loss_only) == bits(loss)
+
+    def test_cross_entropy(self):
+        rng = make_rng(38)
+        logits, labels = rng.standard_normal((6, 4)) * 3, np.array([0, 3, 1, 1, 2, 0])
+        loss, d_logits = cross_entropy(logits, labels)
+        loss_only, none = cross_entropy(logits, labels, want_grad=False)
+        assert d_logits is not None and none is None
+        assert bits(loss_only) == bits(loss)
+
+    @pytest.mark.parametrize("loss_fn", [consistency_loss_abs, consistency_loss_softplus])
+    def test_consistency(self, loss_fn):
+        rng = make_rng(39)
+        lengths = np.array([3, 1, 2, 1, 3, 3, 8])
+        omega, g = rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7)
+        loss, d_omega, k = loss_fn(omega, g, lengths)
+        loss_only, none, k_only = loss_fn(omega, g, lengths, want_grad=False)
+        assert d_omega is not None and none is None
+        assert bits(loss_only) == bits(loss) and bits(k_only) == bits(k)
+        # one mean gap per length, ascending, as np.unique and np.mean give them
+        diff = omega - g
+        assert bits(k) == bits({int(l): float(np.mean(diff[lengths == l]))
+                                for l in np.unique(lengths)})
 
 
 class TestTotalLoss:

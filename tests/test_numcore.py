@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from cocor.numcore import (ParamSet, SgdState, affine_forward, cosine_lr, grad_check,
-                           make_rng, path_rngs, philox_keys, sgd_step, sigmoid, softplus)
+from cocor.numcore import (RELU, TANH, ParamSet, SgdState, cosine_lr, grad_check, make_rng,
+                           mlp_backward, mlp_forward, path_rngs, philox_keys, sgd_step,
+                           sigmoid, softplus)
+
+
+def affine(x, w, b):
+    """A one-layer affine stack: x @ w + b."""
+    return mlp_forward([(w, b, None)], x)[0]
 
 
 class TestAffine:
     def test_identity_weights_zero_bias(self):
         x = make_rng(1).standard_normal((5, 4))
-        out = affine_forward(x, np.eye(4), np.zeros(4))
+        out = affine(x, np.eye(4), np.zeros(4))
         np.testing.assert_array_equal(out, x)
 
     def test_scalar_case(self):
-        out = affine_forward(np.array([[2.0]]), np.array([[3.0]]), np.array([1.0]))
+        out = affine(np.array([[2.0]]), np.array([[3.0]]), np.array([1.0]))
         assert out[0, 0] == 7.0
 
     def test_matches_triple_loop_oracle(self):
@@ -29,13 +35,83 @@ class TestAffine:
                 for k in range(3):
                     acc += x[i, k] * w[k, j]
                 expected[i, j] = acc
-        np.testing.assert_allclose(affine_forward(x, w, b), expected, atol=1e-12)
+        np.testing.assert_allclose(affine(x, w, b), expected, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            affine_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
+            affine(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
         with pytest.raises(ValueError):
-            affine_forward(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4))
+            affine(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4))
+
+
+class TestLayerStack:
+    @staticmethod
+    def layers(rng, widths, act=RELU):
+        return [(rng.standard_normal((a, b)), rng.standard_normal(b), act)
+                for a, b in zip(widths, widths[1:])]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_broken_chain_raises_before_any_layer(self, position):
+        layers = self.layers(make_rng(6), (3, 5, 4, 2))
+        w, b, act = layers[position]
+        layers[position] = (w[:-1], b, act)  # one weight row short of its input
+        calls = []
+
+        def spy(pre):
+            calls.append(pre)
+            return pre
+
+        layers[0] = (*layers[0][:2], (spy, None))
+        with pytest.raises(ValueError, match=f"weight rows {w.shape[0] - 1}"):
+            mlp_forward(layers, np.zeros((2, 3)))
+        assert not calls
+
+    def test_bias_mismatch_deep_in_stack_raises(self):
+        layers = self.layers(make_rng(7), (3, 5, 4))
+        layers[1] = (layers[1][0], np.zeros(3), RELU)
+        with pytest.raises(ValueError, match=r"bias shape \(3,\) != \(4,\)"):
+            mlp_forward(layers, np.zeros((2, 3)))
+
+    def test_non_2d_input_or_weights_raise(self):
+        layers = self.layers(make_rng(8), (3, 4))
+        with pytest.raises(ValueError, match="2-D"):
+            mlp_forward(layers, np.zeros(3))
+        with pytest.raises(ValueError, match="2-D"):
+            mlp_forward([(np.zeros(3), np.zeros(3), None)], np.zeros((2, 3)))
+
+    def test_matches_layer_by_layer_expression_bitwise(self):
+        rng = make_rng(9)
+        layers = self.layers(rng, (6, 5, 4, 3), act=TANH)
+        x = rng.standard_normal((4, 6))
+        out, cache = mlp_forward(layers, x)
+        h = x
+        for (w, b, _), (cached_x, cached_pre) in zip(layers, cache):
+            pre = h @ w + b
+            np.testing.assert_array_equal(cached_x, h)
+            np.testing.assert_array_equal(cached_pre, pre)
+            h = np.tanh(pre)
+        np.testing.assert_array_equal(out, h)
+
+    def test_backward_matches_finite_differences(self):
+        rng = make_rng(10)
+        layers = self.layers(rng, (4, 5, 3), act=TANH)
+        x = rng.standard_normal((3, 4))
+        d_out = rng.standard_normal((3, 3))
+        params = ParamSet({f"{k}{i}": arr for i, (w, b, _) in enumerate(layers)
+                           for k, arr in (("w", w), ("b", b))})
+
+        def stack(p):
+            return [(p[f"w{i}"], p[f"b{i}"], TANH) for i in range(len(layers))]
+
+        def loss(p):
+            return float(np.sum(mlp_forward(stack(p), x)[0] * d_out))
+
+        _, cache = mlp_forward(stack(params), x)
+        d_x, grads = mlp_backward(stack(params), cache, d_out)
+        assert d_x is None
+        analytic = ParamSet({f"{k}{i}": arr for i, (d_w, d_b) in enumerate(grads)
+                             for k, arr in (("w", d_w), ("b", d_b))})
+        assert grad_check(loss, params, analytic, h=1e-6) < 1e-6
 
 
 class TestActivations:
@@ -49,6 +125,17 @@ class TestActivations:
     def test_softplus_overflow_safe(self):
         assert abs(softplus(100.0) - 100.0) < 1e-12
         assert np.isfinite(softplus(np.array([800.0, -800.0]))).all()
+
+    def test_scalar_branch_matches_array_branch_bitwise(self):
+        # softplus(k) and sigmoid(k) of the per-length gaps take the scalar
+        # branch; the arrays' masked branch defines their values
+        rng = make_rng(11)
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 500), rng.standard_normal(500),
+                            [0.0, -0.0, 30.0, 31.0, -30.0, 700.0, -700.0]])
+        for fn in (softplus, sigmoid):
+            scalar = np.array([fn(v) for v in x.tolist()])
+            assert all(type(fn(v)) is float for v in (0.5, np.float64(-2.0), 40.0))
+            np.testing.assert_array_equal(scalar.view(np.uint64), fn(x).view(np.uint64))
 
     def test_softplus_grad_is_sigmoid(self):
         # the softplus consistency loss differentiates softplus as sigmoid

@@ -6,6 +6,16 @@ import os
 import tempfile
 
 
+def read_input(path: str) -> bytes:
+    """The bytes of an input file. A path that cannot be read is a bad
+    input, so the OSError becomes a ValueError naming the path."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a temp file in the same directory plus rename."""
     directory = os.path.dirname(os.path.abspath(path))

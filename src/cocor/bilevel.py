@@ -72,7 +72,6 @@ class TrainState:
     opt_d: SgdState | None
     opt_probe: SgdState
     step: int = 0
-    master_seed: int = 0
     guard_count: int = 0
     zero_norm_count: int = 0
     const_deviation: float = 0.5   # every row's deviation when theta_d is None
@@ -102,16 +101,6 @@ class StepBatch:
         q, p = self.z_keys.shape[0], self.lengths.size
         return q, q + p, q + 2 * p
 
-    @property
-    def x_raw(self) -> np.ndarray:
-        r, a, _ = self.starts()
-        return self.x[r:a]
-
-    @property
-    def x_aug(self) -> np.ndarray:
-        _, a, lab = self.starts()
-        return self.x[a:lab]
-
 
 @dataclass
 class UnsupEval:
@@ -121,21 +110,17 @@ class UnsupEval:
     simi: float
     k_pooled: float
     k_by_length: dict[int, float]
-    grads: ParamSet | None
     zero_norms: int             # over the unsupervised rows only
     labeled_features: np.ndarray  # backbone features of the batch's labeled rows
 
 
 @dataclass
 class StepInfo:
-    """Everything probe_step, pmnn_step and the oracle need about one encoder
-    update: the unsupervised loss terms and the labeled rows' features at
-    theta_before and at the updated encoder, on the same batch, predictions
-    and queue."""
+    """Everything probe_step and pmnn_step need about one encoder update:
+    its batch, and the unsupervised loss terms and the labeled rows' features
+    before and after the update, on the same batch, predictions and queue."""
 
-    theta_before: ParamSet
     batch: StepBatch
-    lr_used: float
     before: UnsupEval
     after: UnsupEval
 
@@ -175,12 +160,12 @@ def _flatten(imgs: np.ndarray) -> np.ndarray:
 
 
 def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                     x_labeled: np.ndarray, stream: int, step_tag: int) -> StepBatch:
+                     x_labeled: np.ndarray, step_tag: int) -> StepBatch:
     """Weak query/key views plus raw and composite-augmented views, stacked
     with the labeled rows. Every sample draws from its own seed paths, so its
     views do not depend on the batch around it."""
     n = imgs.shape[0]
-    rngs = path_rngs([(state.master_seed, stream, step_tag, i, role)
+    rngs = path_rngs([(cfg.seed, STREAM_VIEWS, step_tag, i, role)
                       for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
     queries = weak_augment(imgs, itertools.islice(rngs, n))
     keys = weak_augment(imgs, itertools.islice(rngs, n))
@@ -200,9 +185,10 @@ _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss
 
 def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
                g_vals: np.ndarray, queue: NegativeQueue, cfg: RunConfig,
-               want_grad: bool) -> UnsupEval:
-    """Full unsupervised loss (and optionally its encoder gradient) at theta,
-    holding views, keys, queue, and predictor outputs fixed.
+               want_grad: bool) -> tuple[UnsupEval, ParamSet | None]:
+    """Full unsupervised loss at theta, holding views, keys, queue, and
+    predictor outputs fixed; returns its measurements and, with want_grad,
+    its encoder gradient (else None).
 
     One forward pass covers every row of the batch; the labeled rows take no
     part in the loss and only their backbone features are returned. The
@@ -230,20 +216,8 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
         encode_backward(enc_cfg, theta, cache.rows(a, lab), d_z=d_omega[:, None] * z_raw,
                         out=grads)
     return UnsupEval(lu=lu, lc=lc, lcons=lcons, simi=simi, k_pooled=k_pooled,
-                     k_by_length=k_by_length, grads=grads, zero_norms=zero_norms,
-                     labeled_features=features[lab:])
-
-
-def simi_and_grad(enc_cfg: EncoderConfig, theta: ParamSet, x_raw: np.ndarray,
-                  x_aug: np.ndarray) -> tuple[float, ParamSet]:
-    """Batch-mean raw/augmented cosine similarity and its encoder gradient."""
-    _, z_raw, cache_r = encode_batch(enc_cfg, theta, x_raw)
-    _, z_aug, cache_a = encode_batch(enc_cfg, theta, x_aug)
-    omega = np.sum(z_raw * z_aug, axis=1)
-    n = omega.size
-    grads = encode_backward(enc_cfg, theta, cache_r, d_z=z_aug / n)
-    encode_backward(enc_cfg, theta, cache_a, d_z=z_raw / n, out=grads)
-    return mean(omega), grads
+                     k_by_length=k_by_length, zero_norms=zero_norms,
+                     labeled_features=features[lab:]), grads
 
 
 def probe_logits(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
@@ -290,25 +264,24 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     """
     if state.queue.fill < 1:
         raise RuntimeError("encoder_step requires a non-empty queue (run warm-up first)")
-    batch = build_step_batch(state, cfg, imgs, x_labeled, STREAM_VIEWS, step_tag)
+    batch = build_step_batch(state, cfg, imgs, x_labeled, step_tag)
     g_vals = state.predict(batch.v)
 
-    before = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                        cfg, want_grad=True)
-    theta_before = state.theta_e  # sgd_step returns a new set and leaves this one intact
-    lr_used = state.opt_e.current_lr()
-    state.theta_e = sgd_step(state.theta_e, before.grads, state.opt_e)
-    before.grads = None  # applied; StepInfo keeps the measurements only
+    before, grads = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
+                               cfg, want_grad=True)
+    # sgd_step makes a new set: nothing holds the old one or the gradient
+    # through the re-evaluation
+    state.theta_e = sgd_step(state.theta_e, grads, state.opt_e)
+    del grads
     momentum_update(state.theta_k, state.theta_e, cfg.momentum_coef)
 
-    after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                       cfg, want_grad=False)
+    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
+                          cfg, want_grad=False)
     state.queue.push(batch.z_keys)
     state.zero_norm_count += before.zero_norms + after.zero_norms
     state.step += 1
 
-    return StepInfo(theta_before=theta_before, batch=batch, lr_used=lr_used,
-                    before=before, after=after)
+    return StepInfo(batch=batch, before=before, after=after)
 
 
 def probe_step(state: TrainState, features: np.ndarray, labels: np.ndarray) -> float:
@@ -351,18 +324,27 @@ def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> BilevelS
 
 
 def hypergradient_oracle(state: TrainState, info: StepInfo, x_labeled: np.ndarray,
-                         labels: np.ndarray) -> tuple[ParamSet, float, ParamSet]:
+                         labels: np.ndarray, theta_start: ParamSet,
+                         lr: float) -> tuple[ParamSet, float, ParamSet]:
     """Exact first-order chain-rule hypergradient, independent of the scalar
     formula: eta_e * sigma'(k) * (grad CE(theta') . grad simi(theta)) * dE[g]/d(theta_d).
 
-    Returns (oracle gradient, its scalar multiplier, dE[g]/d(theta_d)).
+    theta_start and lr are the encoder parameters and the learning rate the
+    step behind ``info`` started from. Returns (oracle gradient, its scalar
+    multiplier, dE[g]/d(theta_d)).
     """
-    _, grad_ce = probe_ce(state.enc_cfg, state.theta_e, state.probe, x_labeled,
+    enc_cfg = state.enc_cfg
+    _, grad_ce = probe_ce(enc_cfg, state.theta_e, state.probe, x_labeled,
                           labels, want_encoder_grad=True)
-    _, grad_simi = simi_and_grad(state.enc_cfg, info.theta_before,
-                                 info.batch.x_raw, info.batch.x_aug)
+    # grad of the batch-mean raw/augmented similarity at theta_start
+    r, a, lab = info.batch.starts()
+    _, z, cache = encode_batch(enc_cfg, theta_start, info.batch.x[r:lab])
+    n = a - r
+    grad_simi = encode_backward(enc_cfg, theta_start, cache.rows(0, n), d_z=z[n:] / n)
+    encode_backward(enc_cfg, theta_start, cache.rows(n, 2 * n), d_z=z[:n] / n,
+                    out=grad_simi)
     inner = float(grad_ce.flat @ grad_simi.flat)
-    scalar = info.lr_used * deviation_gap_coefficient(info.before.k_pooled) * inner
+    scalar = lr * deviation_gap_coefficient(info.before.k_pooled) * inner
     grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
     return grad_g.scale(scalar), scalar, grad_g
 
@@ -414,7 +396,7 @@ def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
                             total_steps=total_steps),
         opt_d=opt_d,
         opt_probe=SgdState.init(probe, cfg.probe_lr, momentum=0.9),
-        master_seed=cfg.seed, const_deviation=cfg.const_deviation)
+        const_deviation=cfg.const_deviation)
 
 
 def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None:
@@ -422,10 +404,10 @@ def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None
     n_batches = math.ceil(cfg.queue_capacity / cfg.batch_size)
     n = images.shape[0]
     for w in range(n_batches):
-        rng = make_rng(state.master_seed, STREAM_WARMUP, w)
+        rng = make_rng(cfg.seed, STREAM_WARMUP, w)
         idx = rng.integers(0, n, size=cfg.batch_size)
         keys = weak_augment(images[idx], path_rngs(
-            [(state.master_seed, STREAM_WARMUP, w, j, ROLE_KEY) for j in range(idx.size)]))
+            [(cfg.seed, STREAM_WARMUP, w, j, ROLE_KEY) for j in range(idx.size)]))
         _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
         state.queue.push(z_keys)
 
@@ -440,9 +422,8 @@ def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator, trials: int = 
         raise AssertionError("deviation predictor lost monotonicity")
 
 
-def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int,
-                    master_seed: int, size: int = 32):
-    rng = make_rng(master_seed, STREAM_DACL, epoch)
+def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int, size: int = 32):
+    rng = make_rng(cfg.seed, STREAM_DACL, epoch)
     idx = rng.integers(0, images.shape[0], size=size)
     out = []
     for i in idx:
@@ -492,7 +473,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
         # never written in place: each sgd_step makes a new set
         epoch_start_theta = state.theta_e if cfg.alternation == "epoch" else None
-        last_info: StepInfo | None = None
+        last_batch: StepBatch | None = None
         epoch_rows = []
 
         for it in range(steps_per_epoch):
@@ -517,15 +498,15 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
                 probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0)
             metrics.append(record)
             epoch_rows.append(record)
-            # only the epoch-level predictor update reads a step's views and
-            # parameters later; drop them before the next step allocates its own
-            last_info = info if cfg.alternation == "epoch" else None
+            # only the epoch-level predictor update reads a step's views
+            # later; drop them before the next step allocates its own
+            last_batch = info.batch if cfg.alternation == "epoch" else None
             del info
 
-        if state.theta_d is not None and cfg.alternation == "epoch" and last_info is not None:
+        if state.theta_d is not None and cfg.alternation == "epoch" and last_batch is not None:
             lab_rng = make_rng(cfg.seed, STREAM_LABELED, cfg.epochs * steps_per_epoch + epoch)
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
-            info = _epoch_pair_info(state, cfg, epoch_start_theta, last_info,
+            info = _epoch_pair_info(state, cfg, epoch_start_theta, last_batch,
                                     labeled_x_all[lab_idx])
             pmnn_step(state, labeled_y_all[lab_idx], info)
 
@@ -535,7 +516,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         acc = probe_accuracy(enc_cfg, state.theta_e, state.probe, labeled_x_all,
                              labeled_y_all)
         dacl_val = dacl(enc_cfg, state.theta_e, state.predict,
-                        _dacl_probe_set(cfg, unlabeled, epoch, cfg.seed))
+                        _dacl_probe_set(cfg, unlabeled, epoch))
         metrics.append(MetricsRecord(
             record_type="epoch", epoch=epoch, step=state.step,
             l_contrast=float(np.mean([r.l_contrast for r in epoch_rows])),
@@ -549,19 +530,17 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
 
 
 def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
-                     last_info: StepInfo, x_labeled: np.ndarray) -> StepInfo:
+                     last: StepBatch, x_labeled: np.ndarray) -> StepInfo:
     """Coarse epoch-level (theta, theta') pair measured on the last batch's
     views, with x_labeled in place of its labeled rows."""
-    last = last_info.batch
     batch = dataclasses.replace(
         last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]))
     g_vals = state.predict(batch.v)
-    before = unsup_eval(state.enc_cfg, theta_start, batch, g_vals, state.queue,
-                        cfg, want_grad=False)
-    after = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                       cfg, want_grad=False)
-    return StepInfo(theta_before=theta_start, batch=batch, lr_used=last_info.lr_used,
-                    before=before, after=after)
+    before, _ = unsup_eval(state.enc_cfg, theta_start, batch, g_vals, state.queue,
+                           cfg, want_grad=False)
+    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
+                          cfg, want_grad=False)
+    return StepInfo(batch=batch, before=before, after=after)
 
 
 def _mean_k(rows: list[MetricsRecord]) -> dict[str, float]:

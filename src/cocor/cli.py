@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation error (bad config, missing files, bad
-flags), 2 runtime error. Every training/experiment run writes its resolved
-configuration next to its outputs so the exact settings can be replayed.
+Exit codes: 0 success, 1 validation error (bad config, unreadable config, IDX
+or checkpoint path, bad flags), 2 runtime error (a failed write among them).
+Every training/experiment run writes its resolved configuration next to its
+outputs so the exact settings can be replayed.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _echo_config(cfg: RunConfig) -> None:
 
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
-    _echo_config(cfg)
     dataset = harness.build_dataset(cfg)
+    _echo_config(cfg)  # only once the inputs have been read
     state, records = bilevel.train(cfg, dataset)
     harness.write_metrics_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), records)
     harness.write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), state, records)
@@ -83,8 +84,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_eval_linear(args) -> int:
     cfg = _resolve_config(args)
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     container = load_checkpoint(args.checkpoint)
     enc = {name[len("encoder."):]: container[name]
            for name in container.names() if name.startswith("encoder.")}
@@ -92,9 +91,9 @@ def cmd_eval_linear(args) -> int:
         raise ConfigError(f"{args.checkpoint} has no encoder segments")
     enc_cfg = bilevel.encoder_config(cfg)
     _check_encoder_layout(args.checkpoint, enc_cfg, enc)
-    _echo_config(cfg)  # only once the checkpoint is known to fit the config
-    theta_e = ParamSet(enc)
     dataset = harness.build_dataset(cfg)
+    _echo_config(cfg)  # only once the inputs are read and fit the config
+    theta_e = ParamSet(enc)
     acc = harness.linear_eval(enc_cfg, theta_e, dataset, cfg, seed=cfg.seed)
     print(f"linear eval top-1 accuracy: {acc:.4f}")
     return 0

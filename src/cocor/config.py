@@ -8,8 +8,9 @@ next to a run's outputs is itself a loadable config.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
+
+from ._util import read_input
 
 VARIANTS = ("abs", "softplus")
 DATASETS = ("synth", "idx")
@@ -168,10 +169,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base)
+    return parse_config_text(read_input(path).decode("utf-8"), base)
 
 
 def resolved_text(cfg: RunConfig) -> str:

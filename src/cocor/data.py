@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import atomic_write_bytes, read_input
 from .numcore import make_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -148,8 +149,7 @@ def _read_be_u32(data: bytes, pos: int, path: str) -> int:
 
 
 def read_idx_images(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = read_input(path)
     magic = _read_be_u32(data, 0, path)
     if magic != IDX_IMAGE_MAGIC:
         raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
@@ -165,8 +165,7 @@ def read_idx_images(path: str) -> np.ndarray:
 
 
 def read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = read_input(path)
     magic = _read_be_u32(data, 0, path)
     if magic != IDX_LABEL_MAGIC:
         raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
@@ -194,8 +193,6 @@ def load_idx(images_path: str, labels_path: str, labeled_frac: float = 0.1,
 def write_idx(images_path: str, labels_path: str, images: np.ndarray,
               labels: np.ndarray) -> None:
     """Write rasters (quantized to u8) and labels as an IDX pair."""
-    from ._util import atomic_write_bytes
-
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[3] != 1:
         raise ValueError("IDX export supports single-channel rasters only")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_bytes
+from ._util import atomic_write_bytes, read_input
 from .numcore import RELU, ParamSet, glorot_uniform, mlp_backward, mlp_forward
 
 NORM_EPS = 1e-12
@@ -220,8 +220,7 @@ class _Cursor:
 
 
 def load_checkpoint(path: str) -> ParamSet:
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), path)
+    cur = _Cursor(read_input(path), path)
     if cur.grab(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {cur.data[:4]!r}")
     version, count = cur.u32(2)

@@ -136,10 +136,10 @@ def check_total_unsup(seed: int = 0, tau: float = 0.2) -> float:
 
         def loss_fn(p: ParamSet) -> float:
             return bilevel.unsup_eval(TINY_ENC, p, batch, g_vals, queue, cfg,
-                                      want_grad=False).lu
+                                      want_grad=False)[0].lu
 
-        analytic = bilevel.unsup_eval(TINY_ENC, params, batch, g_vals, queue, cfg,
-                                      want_grad=True).grads
+        _, analytic = bilevel.unsup_eval(TINY_ENC, params, batch, g_vals, queue, cfg,
+                                         want_grad=True)
         return grad_check(loss_fn, params, analytic)
 
     return float(np.max([error(v) for v in VARIANTS]))  # np.max keeps a NaN

@@ -152,12 +152,13 @@ def test_criterion_4_hypergradient_fidelity():
         s = seed
         seed += 1
         cfg, state, imgs, x_lab, y_lab = _fidelity_instance(s)
+        theta_before, lr = state.theta_e, state.opt_e.current_lr()
         try:
             info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         except ValueError:
             continue  # degenerate dead-projection init on a tiny net
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, x_lab, y_lab)
+            state, info, x_lab, y_lab, theta_before, lr)
         scalars = pmnn_step(state, y_lab, info)
         if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
             continue

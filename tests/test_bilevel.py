@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cocor.config import RunConfig
 from cocor.data import synth_dataset, weak_augment
 from cocor.encoder import EncoderConfig, encode_batch
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid
+from test_acceptance import _fidelity_instance
 
 TINY = dict(classes=3, per_class=8, height=6, width=6, channels=1, noise=0.1,
             hidden=(10, 8), proj_hidden=8, embed_dim=4, pmnn_hidden=8,
@@ -83,6 +85,23 @@ class TestEncoderStep:
             info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
             assert info.after.lu < info.before.lu, lr
 
+    def test_pre_step_encoder_is_freed_when_the_step_returns(self, monkeypatch):
+        # iteration alternation: once encoder_step returns, neither its
+        # StepInfo nor the training loop holds the parameters it started from
+        cfg = RunConfig(**{**TINY, "per_class": 16, "queue_capacity": 8, "seed": 3})
+        real_step = bilevel.encoder_step
+        alive = []
+
+        def step(state, *args, **kwargs):
+            ref = weakref.ref(state.theta_e)
+            info = real_step(state, *args, **kwargs)
+            alive.append(ref() is not None)
+            return info
+
+        monkeypatch.setattr(bilevel, "encoder_step", step)
+        train(cfg, harness.build_dataset(cfg))
+        assert alive and not any(alive)
+
     def test_momentum_encoder_tracks_query(self):
         cfg, state, imgs, x_lab, _ = tiny_instance(4)
         theta_k_before = state.theta_k.copy()
@@ -101,37 +120,35 @@ class TestUnsupEval:
         assert encode_batch(state.enc_cfg, state.theta_e, zeros)[2].zero_norm.all()
         counts = []
         for labeled in (np.empty((0, cfg.input_dim)), zeros):
-            batch = build_step_batch(state, cfg, imgs, labeled, stream=5, step_tag=0)
+            batch = build_step_batch(state, cfg, imgs, labeled, step_tag=0)
             g_vals = state.predict(batch.v)
             counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                                     cfg, want_grad=False).zero_norms)
+                                     cfg, want_grad=False)[0].zero_norms)
         assert counts[1] == counts[0]
 
     @pytest.mark.parametrize("variant", ["abs", "softplus"])
     def test_loss_only_call_matches_gradient_call_bitwise(self, variant):
         cfg, state, imgs, x_lab, _ = tiny_instance(16, variant=variant, lengths=(1, 2, 3))
-        batch = build_step_batch(state, cfg, imgs, x_lab, stream=5, step_tag=0)
+        batch = build_step_batch(state, cfg, imgs, x_lab, step_tag=0)
         g_vals = state.predict(batch.v)
-        full, loss_only = (unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals,
-                                      state.queue, cfg, want_grad)
-                           for want_grad in (True, False))
-        assert full.grads is not None and loss_only.grads is None
+        (full, grads), (loss_only, none) = (unsup_eval(state.enc_cfg, state.theta_e, batch,
+                                                       g_vals, state.queue, cfg, want_grad)
+                                            for want_grad in (True, False))
+        assert grads is not None and none is None
         # pickle keeps every float's 8 bytes, dict order and array bytes
         for field in dataclasses.fields(bilevel.UnsupEval):
-            if field.name != "grads":
-                assert (pickle.dumps(getattr(loss_only, field.name))
-                        == pickle.dumps(getattr(full, field.name))), field.name
+            assert (pickle.dumps(getattr(loss_only, field.name))
+                    == pickle.dumps(getattr(full, field.name))), field.name
 
 
 class TestPmnnStep:
     def test_equal_ce_means_zero_update(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(6)
-        # theta_before == current params (so the same labeled features) ->
-        # CE' == CE exactly; fake a loss drop so the denominator guard does
-        # not trigger.
+        # the same labeled features before and after -> CE' == CE exactly;
+        # fake a loss drop so the denominator guard does not trigger.
         batch_info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         info = StepInfo(
-            theta_before=state.theta_e.copy(), batch=batch_info.batch, lr_used=0.03,
+            batch=batch_info.batch,
             before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1,
                                        labeled_features=batch_info.after.labeled_features),
             after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
@@ -246,11 +263,39 @@ class TestPredict:
 class TestOracle:
     def test_oracle_vector_is_scalar_times_mean_grad(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(14)
+        theta_before, lr = state.theta_e, state.opt_e.current_lr()
         info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, x_lab, y_lab)
+            state, info, x_lab, y_lab, theta_before, lr)
         np.testing.assert_allclose(oracle_grad.flat,
                                    oracle_scalar * grad_g.flat, atol=1e-15)
+
+    # sha256 over criterion 4's instances 0-29 of the oracle's gradient,
+    # scalar and dE[g]/d(theta_d), then pmnn_step's scalars and the updated
+    # theta_e and theta_d; recorded while StepInfo still carried theta_before
+    # and the oracle encoded the raw and augmented rows in two passes
+    # (numpy 2.4, OpenBLAS, x86-64)
+    ORACLE_DIGEST = "903d0791c6ab3981f3ee5dd246776dcedb6ee56e249f619ac0231f207e4c631b"
+
+    def test_outputs_match_recorded_digest(self):
+        h = hashlib.sha256()
+        for seed in range(30):
+            cfg, state, imgs, x_lab, y_lab = _fidelity_instance(seed)
+            theta_before, lr = state.theta_e, state.opt_e.current_lr()
+            try:
+                info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+            except ValueError:
+                h.update(b"degenerate")
+                continue
+            oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
+                state, info, x_lab, y_lab, theta_before, lr)
+            s = pmnn_step(state, y_lab, info)
+            for a in (oracle_grad.flat, np.float64(oracle_scalar), grad_g.flat,
+                      np.array([s.ce_before, s.ce_after, s.coefficient, s.scalar,
+                                s.guard_triggered], dtype=np.float64),
+                      state.theta_e.flat, state.theta_d.flat):
+                h.update(a.tobytes())
+        assert h.hexdigest() == self.ORACLE_DIGEST
 
 
 class TestDacl:
@@ -366,14 +411,16 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("seed,channels", sorted(RECORDED))
     def test_views_match_recorded_output(self, seed, channels):
         cfg, state, imgs = view_instance(seed, channels)
-        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), stream=5, step_tag=7)
-        assert (_sha256(b.x[:b.starts()[0]], b.x_aug, b.v, b.lengths)
+        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), step_tag=7)
+        q, a, lab = b.starts()
+        assert (_sha256(b.x[:q], b.x[a:lab], b.v, b.lengths)
                 == self.RECORDED[seed, channels])
 
     @pytest.mark.parametrize("channels", (1, 3))
     def test_each_sample_equals_its_batch_of_one(self, channels):
         cfg, state, imgs = view_instance(2**32 + 9, channels)
-        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), stream=5, step_tag=4)
+        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), step_tag=4)
+        a = b.starts()[1]
         for i in range(imgs.shape[0]):
             path = (cfg.seed, 5, 4, i)
             one = imgs[i:i + 1]
@@ -382,7 +429,7 @@ class TestBuildStepBatch:
             comp = sample_composite(int(rng.choice(np.asarray(cfg.lengths))),
                                     cfg.magnitude, rng)
             np.testing.assert_array_equal(b.x[i], query.reshape(-1))
-            np.testing.assert_array_equal(b.x_aug[i],
+            np.testing.assert_array_equal(b.x[a + i],
                                           apply_composite([comp], one).reshape(-1))
             np.testing.assert_array_equal(b.v[i], composition_vector(comp))
             assert b.lengths[i] == len(comp)

@@ -94,6 +94,23 @@ class TestPretrain:
         assert code == 1
         assert "nope.cfg" in capsys.readouterr().err
 
+    def test_directory_as_config_exits_one_with_path(self, tmp_path, capsys):
+        code = main(["pretrain", "--config", str(tmp_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "runtime error" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_idx_file_exits_one_with_path(self, tmp_path, capsys):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(TINY_CFG + f"dataset = idx\nidx_images = {tmp_path / 'gone.idx'}\n"
+                       f"idx_labels = {tmp_path / 'labels.idx'}\n")
+        code = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "gone.idx" in err and "runtime error" not in err
+        assert not (tmp_path / "run").exists()  # a rejected input leaves no output
+
     def test_invalid_field_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("tau = -1\n")
@@ -219,6 +236,17 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert f"'{segment}'" in err and "tiny.ccor" in err and "runtime error" not in err
         assert not (tmp_path / "e").exists()  # a rejected checkpoint leaves no output
+
+    def test_directory_as_checkpoint_exits_one_with_path(self, tiny_config, tmp_path,
+                                                         capsys):
+        ckpt = tmp_path / "ckpt.d"
+        ckpt.mkdir()
+        code = main(["eval-linear", "--config", tiny_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(ckpt)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ckpt.d" in err and "runtime error" not in err
+        assert not (tmp_path / "e").exists()
 
     def test_checkpoint_missing_exits_one(self, tiny_config, tmp_path, capsys):
         code = main(["eval-linear", "--config", tiny_config,

@@ -199,9 +199,14 @@ def _solarize(imgs, t):
 
 
 def _source_coords(t: BasicTransform, h: int, w: int):
-    """Fractional source (y, x) of every destination pixel."""
+    """Fractional source (y, x) of every destination pixel; translations
+    move by whole pixels, so their coordinates are integers."""
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
+    if t.id == TransformId.TRANSLATE_X:
+        return ys, xs - t.sign * round(_MAX_TRANSLATE_FRAC * w * t.magnitude)
+    if t.id == TransformId.TRANSLATE_Y:
+        return ys - t.sign * round(_MAX_TRANSLATE_FRAC * h * t.magnitude), xs
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     if t.id == TransformId.ROTATE:
         angle = math.radians(t.sign * _MAX_ROTATE_DEG * t.magnitude)
@@ -216,9 +221,10 @@ def _source_coords(t: BasicTransform, h: int, w: int):
 
 @functools.lru_cache(maxsize=64)
 def _bilinear_plan(t: BasicTransform, h: int, w: int):
-    """Gather indices and weights of the four bilinear corners, in the order
-    they are summed. Indices address the H*W pixels plus one appended fill
-    pixel (index H*W) that every outside corner reads."""
+    """Gather indices and weights of the bilinear corners, in the order they
+    are summed. A corner whose weight is zero at every pixel is left out, so
+    whole-pixel coordinates read one corner. Indices address the H*W pixels
+    plus one appended fill pixel (index H*W) that every outside corner reads."""
     src_y, src_x = _source_coords(t, h, w)
     y0 = np.floor(src_y).astype(np.int64)
     x0 = np.floor(src_x).astype(np.int64)
@@ -227,6 +233,8 @@ def _bilinear_plan(t: BasicTransform, h: int, w: int):
     plan = []
     for dy, dx, wgt in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
                         (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
+        if not wgt.any():
+            continue
         yy, xx = y0 + dy, x0 + dx
         inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
         idx = np.where(inside, yy * w + xx, h * w).reshape(-1)
@@ -246,34 +254,6 @@ def _bilinear(imgs, t):
     return out.reshape(n, h, w, c)
 
 
-def _integer_shift(imgs: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """Shift content by whole pixels along axis; vacated pixels get the fill."""
-    if shift == 0:
-        return imgs.copy()
-    out = np.full_like(imgs, GEOMETRIC_FILL)
-    n = imgs.shape[axis]
-    if abs(shift) >= n:
-        return out
-    src = [slice(None)] * 4
-    dst = [slice(None)] * 4
-    if shift > 0:
-        dst[axis], src[axis] = slice(shift, None), slice(None, n - shift)
-    else:
-        dst[axis], src[axis] = slice(None, n + shift), slice(-shift, None)
-    out[tuple(dst)] = imgs[tuple(src)]
-    return out
-
-
-def _translate_x(imgs, t):
-    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * imgs.shape[2] * t.magnitude))
-    return _integer_shift(imgs, shift, axis=2)
-
-
-def _translate_y(imgs, t):
-    shift = t.sign * int(round(_MAX_TRANSLATE_FRAC * imgs.shape[1] * t.magnitude))
-    return _integer_shift(imgs, shift, axis=1)
-
-
 # The transforms that read BasicTransform.sign; the rest ignore it.
 _SIGNED = frozenset((TransformId.ROTATE, TransformId.SHEAR_X, TransformId.SHEAR_Y,
                      TransformId.TRANSLATE_X, TransformId.TRANSLATE_Y))
@@ -290,8 +270,8 @@ _DISPATCH = {
     TransformId.SHARPNESS: _sharpness,
     TransformId.SHEAR_X: _bilinear,
     TransformId.SHEAR_Y: _bilinear,
-    TransformId.TRANSLATE_X: _translate_x,
-    TransformId.TRANSLATE_Y: _translate_y,
+    TransformId.TRANSLATE_X: _bilinear,
+    TransformId.TRANSLATE_Y: _bilinear,
     TransformId.SOLARIZE: _solarize,
 }
 

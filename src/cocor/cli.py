@@ -118,9 +118,10 @@ def _check_encoder_layout(path: str, enc_cfg, segments: dict) -> None:
 
 def cmd_ablate_pmnn(args) -> int:
     cfg = _resolve_config(args)
-    _echo_config(cfg)
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    report = harness.ablate_pmnn(cfg, seeds=seeds, pilot_epochs=args.pilot_epochs)
+    dataset = harness.ablation_dataset(cfg, seeds)
+    _echo_config(cfg)  # only once the inputs are read and fit the protocol
+    report = harness.ablate_pmnn(cfg, dataset, seeds, pilot_epochs=args.pilot_epochs)
     harness.write_report_json(os.path.join(cfg.out_dir, "ablation.json"), report)
     harness.write_report_csv(os.path.join(cfg.out_dir, "ablation.csv"), report)
     print(f"tuned constant deviation: {report['tuned_constant_deviation']}")

@@ -72,12 +72,12 @@ class Dataset:
         return self.labels[self.splits[name]]
 
 
-def assign_splits(n_per_class: np.ndarray, labels: np.ndarray, labeled_frac: float,
+def assign_splits(classes: int, labels: np.ndarray, labeled_frac: float,
                   rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Per-class split: 75% train (labeled_frac of it carved out as labeled),
     remainder halved into eval-train / eval-test. All four sets are disjoint."""
     unlabeled, labeled, eval_train, eval_test = [], [], [], []
-    for c in range(len(n_per_class)):
+    for c in range(classes):
         idx = np.nonzero(labels == c)[0]
         idx = idx[rng.permutation(idx.size)]
         n_train = int(round(0.75 * idx.size))
@@ -134,7 +134,7 @@ def synth_dataset(classes: int, per_class: int, height: int, width: int,
             images[pos] = np.clip(noisy, 0.0, 1.0)
             labels[pos] = c
             pos += 1
-    splits = assign_splits(np.full(classes, per_class), labels, labeled_frac, rng)
+    splits = assign_splits(classes, labels, labeled_frac, rng)
     return Dataset(images=images, labels=labels, classes=classes, splits=splits)
 
 
@@ -185,8 +185,7 @@ def load_idx(images_path: str, labels_path: str, labeled_frac: float = 0.1,
         raise ValueError(f"{images_path} has {images.shape[0]} images but "
                          f"{labels_path} has {labels.shape[0]} labels")
     classes = int(labels.max()) + 1 if labels.size else 0
-    counts = np.bincount(labels, minlength=classes)
-    splits = assign_splits(counts, labels, labeled_frac, make_rng(seed, 901))
+    splits = assign_splits(classes, labels, labeled_frac, make_rng(seed, 901))
     return Dataset(images=images, labels=labels, classes=classes, splits=splits)
 
 

@@ -89,44 +89,52 @@ def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int = 0) -> 
 DEFAULT_DEVIATION_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _run_once(cfg: RunConfig, dataset: Dataset) -> tuple[float, bilevel.TrainState]:
+def _run_once(cfg: RunConfig, dataset: Dataset) -> float:
     state, _ = bilevel.train(cfg, dataset)
-    acc = linear_eval(state.enc_cfg, state.theta_e, dataset, cfg, seed=cfg.seed)
-    return acc, state
+    return linear_eval(state.enc_cfg, state.theta_e, dataset, cfg, seed=cfg.seed)
 
 
-def tune_constant_deviation(cfg: RunConfig, grid=DEFAULT_DEVIATION_GRID,
+def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid=DEFAULT_DEVIATION_GRID,
                             pilot_epochs: int = 5) -> tuple[float, dict[float, float]]:
-    """Short pilot runs across the grid; returns (best value, grid accuracies)."""
+    """Short pilot runs across the grid, all on ``dataset``; returns (best
+    value, grid accuracies)."""
     results: dict[float, float] = {}
     for value in grid:
         pilot = dataclasses.replace(cfg, use_pmnn=False, const_deviation=value,
-                                    epochs=pilot_epochs, seed=cfg.seed)
-        dataset = build_dataset(pilot)
-        acc, _ = _run_once(pilot, dataset)
-        results[value] = acc
+                                    epochs=pilot_epochs)
+        results[value] = _run_once(pilot, dataset)
     best = max(results, key=lambda v: (results[v], -v))
     return best, results
 
 
-def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-                grid=DEFAULT_DEVIATION_GRID, pilot_epochs: int = 5) -> dict:
-    """Paired comparison: fixed grid-tuned constant deviation versus the full
-    learned-predictor bi-level run, matched per seed. The protocol is defined
-    for two-transform composites."""
+def ablation_dataset(cfg: RunConfig, seeds: tuple[int, ...]) -> Dataset:
+    """Check the ablation's inputs and build the pilots' dataset (seed
+    ``cfg.seed``). The protocol is defined for two-transform composites."""
     if tuple(cfg.lengths) != (2,):
         raise ValueError("the ablation protocol uses the length set {2}")
     if len(seeds) < 5:
         raise ValueError("ablation report requires at least 5 seeds")
-    best_const, grid_results = tune_constant_deviation(cfg, grid, pilot_epochs)
+    return build_dataset(cfg)
+
+
+def ablate_pmnn(cfg: RunConfig, dataset: Dataset, seeds: tuple[int, ...],
+                grid=DEFAULT_DEVIATION_GRID, pilot_epochs: int = 5) -> dict:
+    """Paired comparison: fixed grid-tuned constant deviation versus the full
+    learned-predictor bi-level run, matched per seed. ``dataset`` is
+    ``ablation_dataset(cfg, seeds)``. A dataset depends on the seed and on
+    nothing an arm or a pilot changes: the pilots and seed ``cfg.seed``'s arms
+    run on ``dataset``, and every other seed's dataset is built for its two
+    arms and dropped after them, so at most two are alive."""
+    best_const, grid_results = tune_constant_deviation(cfg, dataset, grid, pilot_epochs)
 
     rows = []
     for seed in seeds:
-        without_cfg = dataclasses.replace(cfg, use_pmnn=False,
-                                          const_deviation=best_const, seed=seed)
-        with_cfg = dataclasses.replace(cfg, use_pmnn=True, seed=seed)
-        acc_without, _ = _run_once(without_cfg, build_dataset(without_cfg))
-        acc_with, _ = _run_once(with_cfg, build_dataset(with_cfg))
+        seed_cfg = dataclasses.replace(cfg, seed=seed)
+        seed_data = dataset if seed == cfg.seed else build_dataset(seed_cfg)
+        acc_without = _run_once(dataclasses.replace(seed_cfg, use_pmnn=False,
+                                                    const_deviation=best_const), seed_data)
+        acc_with = _run_once(dataclasses.replace(seed_cfg, use_pmnn=True), seed_data)
+        del seed_data
         rows.append({"seed": seed, "acc_without": acc_without, "acc_with": acc_with,
                      "difference": acc_with - acc_without})
 

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from cocor.config import RunConfig
 from cocor.data import synth_dataset
 from cocor.encoder import EncoderConfig, encode_batch
 from cocor.gradsuite import run_gradient_suite
-from cocor.harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
+from cocor.harness import (ablate_pmnn, ablation_dataset, build_dataset, linear_eval,
+                           random_encoder_baseline)
 from cocor.losses import NegativeQueue, contrastive_loss
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid, softplus
 
@@ -221,7 +223,8 @@ def test_criterion_7_ablation_trend():
     cfg = dataclasses.replace(TREND_CONFIG, lengths=(2,), eta_d=10.0)
     reference = {"without": 50.20, "with": 52.04}  # published direction, not a target
     assert reference["with"] > reference["without"]
-    rep = ablate_pmnn(cfg, seeds=(0, 1, 2, 3, 4), pilot_epochs=5)
+    seeds = (0, 1, 2, 3, 4)
+    rep = ablate_pmnn(cfg, ablation_dataset(cfg, seeds), seeds, pilot_epochs=5)
     elapsed = time.monotonic() - t0
     passed = rep["mean_with"] >= rep["mean_without"] and elapsed < 1800.0
     per_seed = ", ".join(f"s{r['seed']}: {r['acc_without']:.3f}->{r['acc_with']:.3f}"
@@ -247,8 +250,8 @@ def test_criterion_8_determinism(tmp_path):
     same = True
     details = []
     for name in ("metrics.jsonl", "checkpoint.ccor"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(os.path.join(out1, name)).read_bytes()
+        b = Path(os.path.join(out2, name)).read_bytes()
         same = same and a == b
         details.append(f"{name}: {len(a)}B {'==' if a == b else '!='} {len(b)}B")
     report("criterion 8 (determinism)", same, "; ".join(details))

@@ -6,6 +6,7 @@ import pytest
 from cocor.augment import (GEOMETRIC_FILL, POOL_SIZE, BasicTransform,
                            CompositeAugmentation, TransformId, apply_basic,
                            apply_composite, composition_vector, sample_composite)
+from cocor.augment import _bilinear_plan
 from cocor.numcore import make_rng
 
 
@@ -31,6 +32,21 @@ def composite(comp, img):
     return apply_composite([comp], img[None])[0]
 
 
+def translate_shift(tid, h, w, mag, sign):
+    """(rows, columns) a translation moves content by: 0.3 of the axis times
+    the magnitude, rounded to whole pixels, in the direction of the sign."""
+    if tid == TransformId.TRANSLATE_X:
+        return 0, sign * round(0.3 * w * mag)
+    return sign * round(0.3 * h * mag), 0
+
+
+# both axes and signs, sizes 2-11 (rectangular), 1 and 3 channels
+TRANSLATE_CASES = [(tid, (h, 13 - h, c), mag, sign)
+                   for tid in (TransformId.TRANSLATE_X, TransformId.TRANSLATE_Y)
+                   for h in range(2, 12) for c in (1, 3)
+                   for mag in (0.0, 0.1, 0.5, 0.9, 1.0) for sign in (-1, 1)]
+
+
 class TestBasicTransforms:
     def test_identity_is_bit_identical(self):
         img = random_raster(1)
@@ -49,26 +65,31 @@ class TestBasicTransforms:
         np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_translate_x_matches_index_permutation_oracle(self):
-        img = random_raster(4, h=4, w=4, c=1)
-        # magnitude that rounds to exactly +2 px on width 4: 0.3*4*m = 2 -> m = 5/3 > 1,
-        # so use a wider raster: 0.3*10*0.667 -> 2
-        img = random_raster(4, h=4, w=10, c=1)
-        t = BasicTransform(TransformId.TRANSLATE_X, 2.0 / 3.0, sign=1)
-        out = basic(t, img)
-        expected = np.full_like(img, GEOMETRIC_FILL)
-        for y in range(4):
-            for x in range(10):
-                if x - 2 >= 0:
-                    expected[y, x, 0] = img[y, x - 2, 0]
-        np.testing.assert_array_equal(out, expected)
+        # both axes: destination (y, x) reads source (y - dy, x - dx), else the fill
+        for tid, (h, w, c), mag, sign in TRANSLATE_CASES:
+            img = random_raster(int(tid) + 10 * h, h=h, w=w, c=c)
+            dy, dx = translate_shift(tid, h, w, mag, sign)
+            expected = np.full_like(img, GEOMETRIC_FILL)
+            for y in range(h):
+                for x in range(w):
+                    if 0 <= y - dy < h and 0 <= x - dx < w:
+                        expected[y, x] = img[y - dy, x - dx]
+            out = basic(BasicTransform(tid, mag, sign), img)
+            np.testing.assert_array_equal(out, expected,
+                                          err_msg=f"{tid.name} {h}x{w}x{c} {mag} {sign}")
 
     def test_translate_y_negative_sign(self):
-        img = random_raster(5, h=10, w=4, c=1)
-        t = BasicTransform(TransformId.TRANSLATE_Y, 2.0 / 3.0, sign=-1)
-        out = basic(t, img)
-        expected = np.full_like(img, GEOMETRIC_FILL)
-        expected[:8] = img[2:]
-        np.testing.assert_array_equal(out, expected)
+        # the same cases against slicing; a shift never empties the raster
+        for tid, (h, w, c), mag, sign in TRANSLATE_CASES:
+            img = random_raster(int(tid) + 10 * w, h=h, w=w, c=c)
+            dy, dx = translate_shift(tid, h, w, mag, sign)
+            assert abs(dy) < h and abs(dx) < w
+            expected = np.full_like(img, GEOMETRIC_FILL)
+            expected[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
+                img[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
+            out = basic(BasicTransform(tid, mag, sign), img)
+            np.testing.assert_array_equal(out, expected,
+                                          err_msg=f"{tid.name} {h}x{w}x{c} {mag} {sign}")
 
     def test_unsupported_channel_count_rejected(self):
         with pytest.raises(ValueError):
@@ -148,6 +169,19 @@ class TestInvariants:
         for tid in neutral_at_zero:
             out = basic(BasicTransform(tid, 0.0), img)
             assert np.max(np.abs(out - img)) <= 1.0 / 255.0 + 1e-12, tid
+
+    def test_whole_pixel_plan_reads_one_corner(self):
+        # integer source coordinates give one corner of weight 1 everywhere
+        cases = [BasicTransform(tid, mag, sign)
+                 for tid in (TransformId.TRANSLATE_X, TransformId.TRANSLATE_Y)
+                 for mag in (0.0, 0.5, 1.0) for sign in (-1, 1)]
+        cases += [BasicTransform(tid, 0.0)
+                  for tid in (TransformId.ROTATE, TransformId.SHEAR_X, TransformId.SHEAR_Y)]
+        for t in cases:
+            for h, w in ((7, 9), (8, 8)):
+                plan = _bilinear_plan(t, h, w)
+                assert len(plan) == 1, (t, h, w)
+                np.testing.assert_array_equal(plan[0][1], 1.0)
 
     def test_enhancement_factor_one_neutrality(self):
         # blend factor f(0.5) = 1.0 exactly

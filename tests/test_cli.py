@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ PINNED_DIGESTS = [
       "0d14827fac8fb67e5f38d2d7d598981159fb1d35aeddfdaaecfbd9d104acd63a")),
 ]
 
+# `ablate-pmnn` on TINY_CFG with lengths 2, one epoch, 10 eval epochs, seeds 0-4
+# and one pilot epoch (numpy 2.4, OpenBLAS, x86-64).
+ABLATION_DIGESTS = [
+    ("ablation.json", "6a608838cbb891ccc48a9a9bfb9f9956fd5d72ffff57a7d5d14fb0dd6dd327b7"),
+    ("ablation.csv", "55fc277ad7a791b96d048af2b3630d22e74e240afa69f66856b2e471069ffdbc"),
+]
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -66,8 +74,8 @@ class TestPretrain:
         assert main(["pretrain", "--config", tiny_config, "--seed", "7",
                      "--out", out2]) == 0
         for name in ("metrics.jsonl", "checkpoint.ccor"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(os.path.join(out1, name)).read_bytes()
+            b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b, name
 
     @pytest.mark.parametrize("extra, digests", PINNED_DIGESTS)
@@ -87,7 +95,7 @@ class TestPretrain:
         assert echoed.seed == 3
         assert echoed.epochs == 1
         assert echoed.hidden == (10, 8)
-        assert resolved_text(echoed) == open(os.path.join(out, "resolved.cfg")).read()
+        assert resolved_text(echoed) == Path(os.path.join(out, "resolved.cfg")).read_text()
 
     def test_missing_config_exits_one_with_path(self, tmp_path, capsys):
         code = main(["pretrain", "--config", str(tmp_path / "nope.cfg")])
@@ -189,8 +197,25 @@ class TestOtherCommands:
         code = main(["ablate-pmnn", "--config", str(cfg), "--out", out,
                      "--seeds", "0,1,2,3,4", "--pilot-epochs", "1"])
         assert code == 0
-        assert os.path.exists(os.path.join(out, "ablation.json"))
-        assert os.path.exists(os.path.join(out, "ablation.csv"))
+        # recorded while every pilot, arm and seed built its own dataset
+        for name, digest in ABLATION_DIGESTS:
+            assert hashlib.sha256(Path(out, name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("extra, flags, reason", [
+        ("lengths = 1\n", [], "length set"),
+        ("lengths = 2\ndataset = idx\nidx_images = {tmp}/gone.idx\n"
+         "idx_labels = {tmp}/labels.idx\n", [], "gone.idx"),
+        ("lengths = 2\n", ["--seeds", "0,1"], "5 seeds"),
+    ], ids=["lengths", "missing-idx", "two-seeds"])
+    def test_ablate_pmnn_rejected_input_leaves_no_output(self, tmp_path, capsys,
+                                                         extra, flags, reason):
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(TINY_CFG + extra.format(tmp=tmp_path))
+        out = tmp_path / "ab"
+        assert main(["ablate-pmnn", "--config", str(cfg), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert reason in err and "runtime error" not in err
+        assert not out.exists()
 
     def test_augment_preview_writes_rasters(self, tiny_config, tmp_path):
         out = str(tmp_path / "prev")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ccor"), str(tmp_path / "b.ccor")
         save_checkpoint(p1, params)
         save_checkpoint(p2, params)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ccor"
@@ -230,7 +232,7 @@ class TestCheckpoint:
         params = ParamSet({"w": np.array([[1.0, 2.0]])})
         path = str(tmp_path / "c.ccor")
         save_checkpoint(path, params)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data[:4] == b"CCOR"
         # version 1, one segment, name length 1, "w", ndim 2, dims (1, 2)
         assert data[4:8] == (1).to_bytes(4, "little")

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestMetricsPersistence:
         write_metrics_jsonl(p1, records)
         records[0].wall_clock = 99.0  # timing differences must not leak into bytes
         write_metrics_jsonl(p2, records)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_summary_csv_written(self, tmp_path):
         cfg = RunConfig(**SMALL, lengths=(1,))
@@ -215,7 +216,7 @@ class TestMetricsPersistence:
         state, records = train(cfg, ds)
         path = str(tmp_path / "summary.csv")
         write_summary_csv(path, state, records)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("epochs,steps,")
 
@@ -226,14 +227,14 @@ class TestRasterPreview:
         img[0, 0, 0] = 1.0
         path = str(tmp_path / "x.pgm")
         write_raster(path, img)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data.startswith(b"P5\n3 2\n255\n")
         assert data[11:] == bytes([255, 0, 0, 0, 0, 0])
 
     def test_ppm_header(self, tmp_path):
         path = str(tmp_path / "x.ppm")
         write_raster(path, np.zeros((4, 5, 3)))
-        assert open(path, "rb").read().startswith(b"P6\n5 4\n255\n")
+        assert Path(path).read_bytes().startswith(b"P6\n5 4\n255\n")
 
 
 def test_random_encoder_baseline_runs():
@@ -246,24 +247,59 @@ def test_random_encoder_baseline_runs():
 
 class TestAblation:
     def test_requires_two_transform_composites(self):
-        from cocor.harness import ablate_pmnn
+        from cocor.harness import ablation_dataset
 
         with pytest.raises(ValueError, match="length set"):
-            ablate_pmnn(RunConfig(**SMALL, lengths=(1,)))
+            ablation_dataset(RunConfig(**SMALL, lengths=(1,)), (0, 1, 2, 3, 4))
 
     def test_requires_five_seeds(self):
-        from cocor.harness import ablate_pmnn
+        from cocor.harness import ablation_dataset
 
         with pytest.raises(ValueError, match="seeds"):
-            ablate_pmnn(RunConfig(**SMALL, lengths=(2,)), seeds=(0, 1))
+            ablation_dataset(RunConfig(**SMALL, lengths=(2,)), (0, 1))
+
+    def test_builds_one_dataset_per_seed(self, monkeypatch):
+        # the pilots and seed 2's arms run at cfg.seed 2 and share its dataset;
+        # each other seed's two arms share one, dropped before the next is built
+        import weakref
+
+        from cocor import harness
+
+        built, runs = {}, []
+        build = harness.build_dataset
+
+        def alive():
+            return sum(ref() is not None for ref in built.values())
+
+        def counted_build(cfg):
+            assert cfg.seed not in built and alive() <= 1
+            dataset = build(cfg)
+            built[cfg.seed] = weakref.ref(dataset)
+            return dataset
+
+        def run_once(cfg, dataset):
+            assert dataset is built[cfg.seed]() and alive() <= 2
+            runs.append(cfg.seed)
+            return 0.5
+
+        monkeypatch.setattr(harness, "build_dataset", counted_build)
+        monkeypatch.setattr(harness, "_run_once", run_once)
+        cfg = RunConfig(**{**SMALL, "seed": 2}, lengths=(2,))
+        seeds = (0, 1, 2, 3, 4)
+        harness.ablate_pmnn(cfg, harness.ablation_dataset(cfg, seeds), seeds,
+                            grid=(0.4, 0.7), pilot_epochs=1)
+        assert list(built) == [2, 0, 1, 3, 4]
+        assert runs == [2, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_report_schema_and_trend_fields(self, tmp_path):
         # smallest honest run: tiny data, 1-epoch mains, 1-epoch pilots
-        from cocor.harness import ablate_pmnn, write_report_csv, write_report_json
+        from cocor.harness import (ablate_pmnn, ablation_dataset, write_report_csv,
+                                   write_report_json)
 
         cfg = RunConfig(**{**SMALL, "per_class": 24, "epochs": 1, "eval_epochs": 10},
                         lengths=(2,))
-        report = ablate_pmnn(cfg, seeds=(0, 1, 2, 3, 4), grid=(0.4, 0.7),
+        seeds = (0, 1, 2, 3, 4)
+        report = ablate_pmnn(cfg, ablation_dataset(cfg, seeds), seeds, grid=(0.4, 0.7),
                              pilot_epochs=1)
         assert len(report["per_seed"]) == 5
         for row in report["per_seed"]:
@@ -274,6 +310,6 @@ class TestAblation:
         assert set(report["grid_accuracies"]) == {"0.4", "0.7"}
         write_report_json(str(tmp_path / "r.json"), report)
         write_report_csv(str(tmp_path / "r.csv"), report)
-        lines = open(tmp_path / "r.csv").read().strip().splitlines()
+        lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0] == "seed,acc_without,acc_with,difference"
         assert len(lines) == 7  # header + 5 seeds + mean row

@@ -34,8 +34,9 @@ from .augment import (POOL_SIZE, CompositeAugmentation, apply_composite, composi
                       sample_composite)
 from .config import RunConfig
 from .data import Dataset, weak_augment
-from .encoder import (EncoderConfig, encode_backward, encode_batch, init_encoder_params,
-                      latent_deviation, momentum_update)
+from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
+                      features_backward, init_encoder_params, latent_deviation,
+                      momentum_update)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
 from .numcore import ParamSet, SgdState, make_rng, mean, path_rngs, sgd_step
@@ -220,12 +221,6 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
                      labeled_features=features[lab:]), grads
 
 
-def probe_logits(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
-                 x: np.ndarray):
-    features, _, cache = encode_batch(enc_cfg, theta_e, x)
-    return features @ probe["w"] + probe["b"], cache
-
-
 def head_ce(head: ParamSet, features: np.ndarray,
             labels: np.ndarray) -> tuple[float, ParamSet]:
     """Cross-entropy of an affine head {"w", "b"} on fixed features, and its
@@ -242,12 +237,12 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
     Never mutates theta_e; the optional gradient is a measurement used by the
     hypergradient oracle, not an update path.
     """
-    logits, cache = probe_logits(enc_cfg, theta_e, probe, x)
-    ce, d_logits = cross_entropy(logits, labels, want_encoder_grad)
+    features, backbone_cache = encode_features(enc_cfg, theta_e, x)
+    ce, d_logits = cross_entropy(features @ probe["w"] + probe["b"], labels,
+                                 want_encoder_grad)
     if not want_encoder_grad:
         return ce, None
-    d_feat = d_logits @ probe["w"].T
-    return ce, encode_backward(enc_cfg, theta_e, cache, d_features=d_feat)
+    return ce, features_backward(enc_cfg, theta_e, backbone_cache, d_logits @ probe["w"].T)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +429,8 @@ def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int, size: int = 
 
 def probe_accuracy(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
                    x: np.ndarray, labels: np.ndarray) -> float:
-    logits, _ = probe_logits(enc_cfg, theta_e, probe, x)
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    features, _ = encode_features(enc_cfg, theta_e, x)
+    return float(np.mean(np.argmax(features @ probe["w"] + probe["b"], axis=1) == labels))
 
 
 def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRecord]]:

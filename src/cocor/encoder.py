@@ -1,9 +1,12 @@
 """Query/momentum encoders: MLP backbone plus projection head onto the unit
 hypersphere, two ``numcore`` layer stacks with their backward passes.
 
-``encode_batch`` returns backbone features (pre-projection) and L2-normalized
-embeddings; ``encode_backward`` turns cotangents on either output into
-parameter gradients. The latent deviation of an augmented view is the cosine
+``encode_features`` runs the backbone alone and returns the features
+(pre-projection) the probe and linear evaluation read; ``features_backward``
+turns a cotangent on them into backbone gradients. ``encode_batch`` adds the
+head and returns the features and L2-normalized embeddings;
+``encode_backward`` turns a cotangent on the embeddings into parameter
+gradients. The latent deviation of an augmented view is the cosine
 similarity between the embeddings of the raw image and the augmented image.
 
 Checkpoints are a little-endian binary container: magic ``CCOR``, version u32,
@@ -33,9 +36,9 @@ class EncoderConfig:
     linear probe sees; the projection head maps features -> embed_dim."""
 
     input_dim: int
-    hidden: tuple[int, ...] = (256, 128)
-    proj_hidden: int = 64
-    embed_dim: int = 32
+    hidden: tuple[int, ...]
+    proj_hidden: int
+    embed_dim: int
 
     @property
     def feature_dim(self) -> int:
@@ -83,10 +86,6 @@ class EncodeCache:
     def x(self) -> np.ndarray:
         return self.backbone[0][0]
 
-    @property
-    def features(self) -> np.ndarray:
-        return self.head[0][0]
-
     def rows(self, start: int, stop: int) -> "EncodeCache":
         """The cache of rows start:stop, as views of this one."""
         sl = slice(start, stop)
@@ -95,13 +94,25 @@ class EncodeCache:
                            norms=self.norms[sl], z=self.z[sl], zero_norm=self.zero_norm[sl])
 
 
-def _stacks(cfg: EncoderConfig, params: ParamSet) -> tuple[list, list]:
-    """The backbone and the projection head as ``numcore`` layer stacks over
-    the segments of ``params``."""
-    backbone = [(params[f"bb{i}.w"], params[f"bb{i}.b"], RELU) for i in range(len(cfg.hidden))]
-    head = [(params["proj0.w"], params["proj0.b"], RELU),
+def _backbone(cfg: EncoderConfig, params: ParamSet) -> list:
+    """The backbone as a ``numcore`` layer stack over the segments of ``params``."""
+    return [(params[f"bb{i}.w"], params[f"bb{i}.b"], RELU) for i in range(len(cfg.hidden))]
+
+
+def _head(params: ParamSet) -> list:
+    """The projection head, likewise."""
+    return [(params["proj0.w"], params["proj0.b"], RELU),
             (params["proj1.w"], params["proj1.b"], None)]
-    return backbone, head
+
+
+def encode_features(cfg: EncoderConfig, params: ParamSet,
+                    x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Backbone features of a (B, input_dim) batch, without the projection
+    head; returns (features, the backbone's ``mlp_forward`` cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise ValueError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
+    return mlp_forward(_backbone(cfg, params), x)
 
 
 def encode_batch(cfg: EncoderConfig, params: ParamSet,
@@ -111,12 +122,8 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     z rows are unit-norm; rows whose raw projection norm underflows the
     epsilon guard are flagged in cache.zero_norm.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
-    backbone, head = _stacks(cfg, params)
-    features, backbone_cache = mlp_forward(backbone, x)
-    proj, head_cache = mlp_forward(head, features)
+    features, backbone_cache = encode_features(cfg, params, x)
+    proj, head_cache = mlp_forward(_head(params), features)
 
     raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=1))  # np.linalg.norm's own sum
     norms = np.maximum(raw_norms, NORM_EPS)
@@ -126,33 +133,30 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     return features, z, cache
 
 
-def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
-                    d_z: np.ndarray | None = None,
-                    d_features: np.ndarray | None = None,
-                    out: ParamSet | None = None) -> ParamSet:
-    """Parameter gradients given cotangents on z and/or features.
-
-    With ``out`` the gradients are added into it (and it is returned);
-    otherwise into a fresh zero set. No gradient for the input is formed.
-    """
+def features_backward(cfg: EncoderConfig, params: ParamSet, backbone_cache: list,
+                      d_features: np.ndarray, out: ParamSet | None = None) -> ParamSet:
+    """Backbone gradients given the cotangent on the features of the pass
+    that left ``backbone_cache``, added into ``out`` (and returned) or into a
+    fresh zero set. No gradient for the input is formed."""
     out = params.zeros_like() if out is None else out
     params._check_compatible(out)
-    backbone, head = _stacks(cfg, params)
-    # the same stacks over out's segments: in-place += writes into out.flat
-    out_backbone, out_head = _stacks(cfg, out)
+    _, grads = mlp_backward(_backbone(cfg, params), backbone_cache, d_features)
+    # the stack over out's segments: in-place += writes into out.flat
+    _accumulate(_backbone(cfg, out), grads)
+    return out
 
-    d_feat = np.zeros_like(cache.features) if d_features is None else d_features
-    if d_z is not None:
-        # Through L2 normalization: d_p = (d_z - z (z . d_z)) / ||p||.
-        z, norms = cache.z, cache.norms
-        inner = np.sum(z * d_z, axis=1, keepdims=True)
-        d_proj = (d_z - z * inner) / norms[:, None]
-        d_head_in, grads = mlp_backward(head, cache.head, d_proj, input_grad=True)
-        _accumulate(out_head, grads)
-        d_feat = d_feat + d_head_in
 
-    _, grads = mlp_backward(backbone, cache.backbone, d_feat)
-    _accumulate(out_backbone, grads)
+def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
+                    d_z: np.ndarray, out: ParamSet | None = None) -> ParamSet:
+    """Parameter gradients given the cotangent on z, added into ``out`` as
+    ``features_backward`` does."""
+    # Through L2 normalization: d_p = (d_z - z (z . d_z)) / ||p||.
+    z, norms = cache.z, cache.norms
+    inner = np.sum(z * d_z, axis=1, keepdims=True)
+    d_proj = (d_z - z * inner) / norms[:, None]
+    d_features, grads = mlp_backward(_head(params), cache.head, d_proj, input_grad=True)
+    out = features_backward(cfg, params, cache.backbone, d_features, out=out)
+    _accumulate(_head(out), grads)
     return out
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import bilevel, pmnn
 from .config import VARIANTS, RunConfig
-from .encoder import EncoderConfig, encode_backward, encode_batch, init_encoder_params
+from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
+                      init_encoder_params)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss)
 from .numcore import ParamSet, grad_check, make_rng, mean
@@ -34,8 +35,9 @@ def _tiny_setup(seed: int):
     return rng, params, x_query, x_raw, x_aug, z_keys, queue
 
 
-def check_contrastive(seed: int = 0, tau: float = 0.2) -> float:
+def check_contrastive(seed: int = 0) -> float:
     _, params, x_query, _, _, z_keys, queue = _tiny_setup(seed)
+    tau = RunConfig().tau
 
     def loss_fn(p: ParamSet) -> float:
         _, z, _ = encode_batch(TINY_ENC, p, x_query)
@@ -74,7 +76,7 @@ def _tiny_probe(rng) -> ParamSet:
 def check_cross_entropy_probe(seed: int = 0) -> float:
     """``bilevel.head_ce``: the probe and linear-eval head gradient."""
     rng, params, _, x_raw, _, _, _ = _tiny_setup(seed)
-    features, _, _ = encode_batch(TINY_ENC, params, x_raw)
+    features, _ = encode_features(TINY_ENC, params, x_raw)
     probe = _tiny_probe(rng)
     labels = np.array([0, 2, 1])
     _, analytic = bilevel.head_ce(probe, features, labels)
@@ -122,7 +124,7 @@ def check_pmnn_mean_output(seed: int = 0) -> float:
     return grad_check(loss_fn, params, analytic)
 
 
-def check_total_unsup(seed: int = 0, tau: float = 0.2) -> float:
+def check_total_unsup(seed: int = 0) -> float:
     """The training loss itself: ``bilevel.unsup_eval`` (contrastive plus
     consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
@@ -132,7 +134,7 @@ def check_total_unsup(seed: int = 0, tau: float = 0.2) -> float:
     g_vals = np.array([0.4, 0.1, 0.5])
 
     def error(variant: str) -> float:
-        cfg = RunConfig(variant=variant, tau=tau)
+        cfg = RunConfig(variant=variant)
 
         def loss_fn(p: ParamSet) -> float:
             return bilevel.unsup_eval(TINY_ENC, p, batch, g_vals, queue, cfg,

@@ -18,8 +18,8 @@ import numpy as np
 from . import bilevel
 from ._util import atomic_write_bytes, atomic_write_text
 from .config import RunConfig
-from .data import Dataset, synth_dataset
-from .encoder import EncoderConfig, encode_batch
+from .data import Dataset, load_idx, synth_dataset
+from .encoder import EncoderConfig, encode_features, init_encoder_params
 from .numcore import ParamSet, SgdState, make_rng, sgd_step
 
 STREAM_EVAL = 8
@@ -30,19 +30,16 @@ def build_dataset(cfg: RunConfig) -> Dataset:
         return synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width,
                              cfg.noise, make_rng(cfg.seed, 100),
                              channels=cfg.channels, labeled_frac=cfg.labeled_frac)
-    from .data import load_idx
-    return load_idx(cfg.idx_images, cfg.idx_labels, labeled_frac=cfg.labeled_frac,
-                    seed=cfg.seed)
+    dataset = load_idx(cfg.idx_images, cfg.idx_labels, labeled_frac=cfg.labeled_frac,
+                       seed=cfg.seed)
+    if dataset.classes > cfg.classes:
+        raise ValueError(f"{cfg.idx_labels}: labels run up to {dataset.classes - 1}, "
+                         f"but classes = {cfg.classes}")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
 # Linear evaluation
-
-
-def _features(enc_cfg: EncoderConfig, theta_e: ParamSet, images: np.ndarray) -> np.ndarray:
-    flat = images.reshape(images.shape[0], -1)
-    features, _, _ = encode_batch(enc_cfg, theta_e, flat)
-    return features
 
 
 def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
@@ -50,9 +47,10 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
     """Train a fresh affine classifier on frozen backbone features of the
     eval-train split (fixed budget, cosine decay) and report top-1 accuracy
     on eval-test. The encoder is read-only throughout."""
-    train_x = _features(enc_cfg, theta_e, dataset.split_images("eval_train"))
+    train_x, test_x = (
+        encode_features(enc_cfg, theta_e, images.reshape(images.shape[0], -1))[0]
+        for images in map(dataset.split_images, ("eval_train", "eval_test")))
     train_y = dataset.split_labels("eval_train")
-    test_x = _features(enc_cfg, theta_e, dataset.split_images("eval_test"))
     test_y = dataset.split_labels("eval_test")
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("eval splits are empty")
@@ -78,7 +76,7 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
 def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int = 0) -> float:
     """Linear probe on a freshly initialized, untrained encoder."""
     enc_cfg = bilevel.encoder_config(cfg)
-    theta = bilevel.init_train_state(cfg, enc_cfg, total_steps=1).theta_e
+    theta = init_encoder_params(enc_cfg, make_rng(cfg.seed, bilevel.STREAM_INIT_ENCODER))
     return linear_eval(enc_cfg, theta, dataset, cfg, seed=seed)
 
 
@@ -94,8 +92,8 @@ def _run_once(cfg: RunConfig, dataset: Dataset) -> float:
     return linear_eval(state.enc_cfg, state.theta_e, dataset, cfg, seed=cfg.seed)
 
 
-def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid=DEFAULT_DEVIATION_GRID,
-                            pilot_epochs: int = 5) -> tuple[float, dict[float, float]]:
+def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid,
+                            pilot_epochs: int) -> tuple[float, dict[float, float]]:
     """Short pilot runs across the grid, all on ``dataset``; returns (best
     value, grid accuracies)."""
     results: dict[float, float] = {}

@@ -15,21 +15,20 @@ import numpy as np
 
 from .numcore import TANH, ParamSet, mlp_backward, mlp_forward, sigmoid, softplus
 
-DEFAULT_HIDDEN = 16
 INPUT_DIM = 14
+BASE_DEVIATION = 0.6
 
 
 def _inverse_softplus(y: float) -> float:
     return math.log(math.expm1(y))
 
 
-def init_pmnn_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN,
-                     base_deviation: float = 0.6) -> ParamSet:
+def init_pmnn_params(rng: np.random.Generator, hidden: int) -> ParamSet:
     """Width-aware init. Effective weights land around 1.5/fan_in so layer
     sums stay out of tanh saturation for composite lengths up to 8 (all
     effective weights are non-negative, so same-signed sums grow with width
     and a fixed raw range would pin the output at -1 with dead gradients).
-    The output bias anchors the zero-count prediction at ``base_deviation``;
+    The output bias anchors the zero-count prediction at ``BASE_DEVIATION``;
     monotonicity then spreads predictions downward as counts grow."""
 
     def raw(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -42,7 +41,7 @@ def init_pmnn_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN,
         "w2": raw(hidden, (hidden, hidden)),
         "b2": np.zeros(hidden),
         "w3": raw(hidden, (hidden, 1)),
-        "b3": np.full(1, math.atanh(base_deviation)),
+        "b3": np.full(1, math.atanh(BASE_DEVIATION)),
     })
 
 

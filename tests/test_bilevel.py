@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cocor import bilevel, harness, pmnn
+from cocor import bilevel, gradsuite, harness, pmnn
 from cocor.augment import apply_composite, composition_vector, sample_composite
 from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch, dacl,
                            deviation_gap_coefficient, encoder_step,
@@ -239,6 +239,25 @@ class TestProbeStep:
             if acc == 1.0:
                 break
         assert acc == 1.0
+
+    def test_feature_readers_run_only_the_backbone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a feature reader ran the projection head")
+
+        # harness has no encode_batch of its own: set one anyway, so a reader
+        # that imports it again fails here too
+        for module in (bilevel, gradsuite, harness):
+            monkeypatch.setattr(module, "encode_batch", refuse, raising=False)
+        cfg, state, _, x_lab, y_lab = tiny_instance(15, eval_epochs=2)
+        for want in (False, True):
+            probe_ce(state.enc_cfg, state.theta_e, state.probe, x_lab, y_lab,
+                     want_encoder_grad=want)
+        bilevel.probe_accuracy(state.enc_cfg, state.theta_e, state.probe, x_lab, y_lab)
+        ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width, cfg.noise,
+                           make_rng(15, 55), channels=1)
+        harness.linear_eval(state.enc_cfg, state.theta_e, ds, cfg, seed=0)
+        assert gradsuite.check_cross_entropy_probe(gradsuite.SUITE_SEEDS[
+            "cross_entropy_probe"]) < 1e-5
 
     def test_label_out_of_range(self):
         cfg, state, _, x_lab, _ = tiny_instance(13)

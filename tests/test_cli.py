@@ -59,6 +59,15 @@ ABLATION_DIGESTS = [
 ]
 
 
+def ten_class_idx(tmp_path) -> str:
+    """Config lines that read a 10-class IDX pair written by make-data."""
+    cfg = tmp_path / "ten.cfg"
+    cfg.write_text(TINY_CFG + "classes = 10\n")
+    assert main(["make-data", "--config", str(cfg), "--out", str(tmp_path / "ten")]) == 0
+    return (f"dataset = idx\nidx_images = {tmp_path / 'ten' / 'images.idx'}\n"
+            f"idx_labels = {tmp_path / 'ten' / 'labels.idx'}\n")
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "run.cfg"
@@ -118,6 +127,16 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert "gone.idx" in err and "runtime error" not in err
         assert not (tmp_path / "run").exists()  # a rejected input leaves no output
+
+    def test_idx_with_more_classes_exits_one_naming_labels(self, tmp_path, capsys):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(TINY_CFG + ten_class_idx(tmp_path))  # classes = 3
+        code = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ten" / "labels.idx") in err and "classes = 3" in err
+        assert "runtime error" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_field_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -206,11 +225,15 @@ class TestOtherCommands:
         ("lengths = 2\ndataset = idx\nidx_images = {tmp}/gone.idx\n"
          "idx_labels = {tmp}/labels.idx\n", [], "gone.idx"),
         ("lengths = 2\n", ["--seeds", "0,1"], "5 seeds"),
-    ], ids=["lengths", "missing-idx", "two-seeds"])
+        ("lengths = 2\n{ten_classes}", [], "{tmp}/ten/labels.idx: labels run up to 9, "
+         "but classes = 3"),
+    ], ids=["lengths", "missing-idx", "two-seeds", "more-classes"])
     def test_ablate_pmnn_rejected_input_leaves_no_output(self, tmp_path, capsys,
                                                          extra, flags, reason):
         cfg = tmp_path / "ab.cfg"
-        cfg.write_text(TINY_CFG + extra.format(tmp=tmp_path))
+        cfg.write_text(TINY_CFG + extra.format(tmp=tmp_path,
+                                               ten_classes=ten_class_idx(tmp_path)))
+        reason = reason.format(tmp=tmp_path)
         out = tmp_path / "ab"
         assert main(["ablate-pmnn", "--config", str(cfg), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err

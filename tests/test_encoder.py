@@ -5,9 +5,9 @@ import pytest
 
 from cocor.augment import (BasicTransform, CompositeAugmentation, TransformId,
                            apply_composite, sample_composite)
-from cocor.encoder import (EncoderConfig, encode_backward, encode_batch,
-                           init_encoder_params, latent_deviation, load_checkpoint,
-                           momentum_update, save_checkpoint)
+from cocor.encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
+                           features_backward, init_encoder_params, latent_deviation,
+                           load_checkpoint, momentum_update, save_checkpoint)
 from cocor.gradsuite import check_cross_entropy_encoder
 from cocor.numcore import ParamSet, grad_check, make_rng
 
@@ -44,7 +44,8 @@ class TestEncode:
     @pytest.mark.parametrize("hidden", [(9,), (10, 8), (10, 9, 8)],
                              ids=["depth1", "depth2", "depth3"])
     def test_gradient_of_linear_functional_passes(self, hidden):
-        # cotangents on both outputs: z through the head, features directly
+        # cotangents on both outputs: z through the head, features directly;
+        # the backbone-only pass gives the features of the full one
         cfg = EncoderConfig(input_dim=12, hidden=hidden, proj_hidden=6, embed_dim=4)
         params = init_encoder_params(cfg, make_rng(6, 70))
         x = make_rng(7, 74).uniform(0.1, 0.9, size=(2, 12))
@@ -55,9 +56,12 @@ class TestEncode:
             features, z, _ = encode_batch(cfg, p, x)
             return float(np.sum(z @ c) + np.sum(features @ c_feat))
 
-        _, z, cache = encode_batch(cfg, params, x)
-        analytic = encode_backward(cfg, params, cache, d_z=np.tile(c, (2, 1)),
-                                   d_features=np.tile(c_feat, (2, 1)))
+        features, _, cache = encode_batch(cfg, params, x)
+        features_only, backbone_cache = encode_features(cfg, params, x)
+        assert features_only.tobytes() == features.tobytes()
+        analytic = features_backward(cfg, params, backbone_cache, np.tile(c_feat, (2, 1)),
+                                     out=encode_backward(cfg, params, cache,
+                                                         d_z=np.tile(c, (2, 1))))
         assert grad_check(loss_fn, params, analytic) < 1e-5
 
     def test_feature_gradient_passes(self):

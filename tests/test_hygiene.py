@@ -1,0 +1,52 @@
+"""Static checks on the package source: no top-level import that its module
+never reads, and no private module-level function or class that its module
+never references. Only the standard library's ``ast`` is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cocor"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, as a bare name or as an attribute base."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"bilevel.py", "encoder.py", "harness.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    tree = _parse(path)
+    unused = [n for n in _imported_names(tree) if n not in _read_names(tree)]
+    assert not unused, f"{path.name} imports {unused} but never reads them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_definition(path):
+    tree = _parse(path)
+    private = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    unused = [n for n in private if n not in _read_names(tree)]
+    assert not unused, f"{path.name} defines {unused} but never references them"

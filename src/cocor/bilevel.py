@@ -42,6 +42,8 @@ from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softp
 from .numcore import ParamSet, SgdState, make_rng, mean, path_rngs, sgd_step
 
 DENOM_GUARD = 1e-8
+MONOTONIC_TRIALS = 100  # count vectors bumped by each epoch's monotonicity check
+DACL_PROBE_SIZE = 32    # unlabeled rasters in each epoch's DACL estimate
 
 # Seed-path stream tags: every generator derives from (master, stream, ...).
 STREAM_INIT_ENCODER = 1
@@ -407,19 +409,19 @@ def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None
         state.queue.push(z_keys)
 
 
-def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator, trials: int = 100) -> None:
-    vs = rng.integers(0, 9, size=(trials, POOL_SIZE))
-    coords = rng.integers(0, POOL_SIZE, size=trials)
+def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator) -> None:
+    vs = rng.integers(0, 9, size=(MONOTONIC_TRIALS, POOL_SIZE))
+    coords = rng.integers(0, POOL_SIZE, size=MONOTONIC_TRIALS)
     base = pmnn.predict_batch(theta_d, vs)
     bumped = vs.copy()
-    bumped[np.arange(trials), coords] += 1
+    bumped[np.arange(MONOTONIC_TRIALS), coords] += 1
     if np.any(pmnn.predict_batch(theta_d, bumped) > base + 1e-12):
         raise AssertionError("deviation predictor lost monotonicity")
 
 
-def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int, size: int = 32):
+def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int):
     rng = make_rng(cfg.seed, STREAM_DACL, epoch)
-    idx = rng.integers(0, images.shape[0], size=size)
+    idx = rng.integers(0, images.shape[0], size=DACL_PROBE_SIZE)
     out = []
     for i in idx:
         length = int(rng.choice(np.asarray(cfg.lengths)))
@@ -468,7 +470,6 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
         # never written in place: each sgd_step makes a new set
         epoch_start_theta = state.theta_e if cfg.alternation == "epoch" else None
-        last_batch: StepBatch | None = None
         epoch_rows = []
 
         for it in range(steps_per_epoch):
@@ -498,7 +499,8 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
             last_batch = info.batch if cfg.alternation == "epoch" else None
             del info
 
-        if state.theta_d is not None and cfg.alternation == "epoch" and last_batch is not None:
+        # last_batch is set: train rejects an unlabeled split under one batch
+        if state.theta_d is not None and cfg.alternation == "epoch":
             lab_rng = make_rng(cfg.seed, STREAM_LABELED, cfg.epochs * steps_per_epoch + epoch)
             lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
             info = _epoch_pair_info(state, cfg, epoch_start_theta, last_batch,

@@ -39,15 +39,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
     for key in ("seed", "epochs", "lengths", "variant", "labeled_frac",
                 "queue_capacity", "tau"):
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value if isinstance(value, str) else str(value)
+            overrides[key] = str(value)
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     cfg = apply_overrides(cfg, overrides)
@@ -147,6 +145,8 @@ def cmd_grad_check(args) -> int:
 
 def cmd_augment_preview(args) -> int:
     cfg = _resolve_config(args)
+    # drawn first: it checks --length and --magnitude before anything is written
+    comp = sample_composite(args.length, args.magnitude, make_rng(cfg.seed, 778))
     _echo_config(cfg)
     rng = make_rng(cfg.seed, 777)
     dataset = synth_dataset(cfg.classes, 1, cfg.height, cfg.width, cfg.noise,
@@ -159,7 +159,6 @@ def cmd_augment_preview(args) -> int:
         out = apply_basic(t, img[None])[0]
         harness.write_raster(
             os.path.join(cfg.out_dir, f"after_{tid.name.lower()}.{ext}"), out)
-    comp = sample_composite(args.length, args.magnitude, make_rng(cfg.seed, 778))
     harness.write_raster(os.path.join(cfg.out_dir, f"after_composite.{ext}"),
                          apply_composite([comp], img[None])[0])
     print(f"wrote previews for {len(TransformId)} transforms to {cfg.out_dir}")
@@ -170,6 +169,8 @@ def cmd_make_data(args) -> int:
     cfg = _resolve_config(args)
     if cfg.channels != 1:
         raise ConfigError("IDX export supports channels = 1 only")
+    if cfg.classes > 256:
+        raise ConfigError(f"IDX labels must fit in a byte, so classes <= 256, got {cfg.classes}")
     _echo_config(cfg)
     dataset = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width,
                             cfg.noise, make_rng(cfg.seed, 100), channels=1,

@@ -152,8 +152,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -168,8 +168,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    return parse_config_text(read_input(path).decode("utf-8"), base)
+def load_config(path: str) -> RunConfig:
+    return parse_config_text(read_input(path).decode("utf-8"))
 
 
 def resolved_text(cfg: RunConfig) -> str:
@@ -181,5 +181,5 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     for key, value in overrides.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, value) if isinstance(value, str) else value)
+        setattr(cfg, key, _parse_value(key, value))
     return cfg

@@ -8,8 +8,9 @@ pool lives in ``augment``.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,38 +143,28 @@ def synth_dataset(classes: int, per_class: int, height: int, width: int,
 # IDX file format (big-endian, u8 pixels)
 
 
-def _read_be_u32(data: bytes, pos: int, path: str) -> int:
-    if pos + 4 > len(data):
+def _read_idx(path: str, magic: int, kind: str, ndim: int) -> np.ndarray:
+    """The u8 payload of an IDX file with the given magic and ``ndim`` dims."""
+    data = read_input(path)
+    header = 4 * (1 + ndim)  # the magic and each dim, big-endian u32
+    if len(data) < header:
         raise ValueError(f"{path}: truncated header")
-    return struct.unpack_from(">I", data, pos)[0]
+    found, *shape = struct.unpack_from(f">{1 + ndim}I", data)
+    if found != magic:
+        raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}")
+    payload = data[header:]
+    if len(payload) != math.prod(shape):
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+                         f"declared {'x'.join(map(str, shape))}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
 def read_idx_images(path: str) -> np.ndarray:
-    data = read_input(path)
-    magic = _read_be_u32(data, 0, path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
-    count = _read_be_u32(data, 4, path)
-    rows = _read_be_u32(data, 8, path)
-    cols = _read_be_u32(data, 12, path)
-    payload = data[16:]
-    if len(payload) != count * rows * cols:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"declared {count}x{rows}x{cols}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-    return pixels.astype(np.float64)[:, :, :, None] / 255.0
+    return _read_idx(path, IDX_IMAGE_MAGIC, "image", 3).astype(np.float64)[:, :, :, None] / 255.0
 
 
 def read_idx_labels(path: str) -> np.ndarray:
-    data = read_input(path)
-    magic = _read_be_u32(data, 0, path)
-    if magic != IDX_LABEL_MAGIC:
-        raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
-    count = _read_be_u32(data, 4, path)
-    payload = data[8:]
-    if len(payload) != count:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, declared {count}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_LABEL_MAGIC, "label", 1).astype(np.int64)
 
 
 def load_idx(images_path: str, labels_path: str, labeled_frac: float = 0.1,
@@ -185,26 +176,30 @@ def load_idx(images_path: str, labels_path: str, labeled_frac: float = 0.1,
         raise ValueError(f"{images_path} has {images.shape[0]} images but "
                          f"{labels_path} has {labels.shape[0]} labels")
     classes = int(labels.max()) + 1 if labels.size else 0
-    splits = assign_splits(classes, labels, labeled_frac, make_rng(seed, 901))
-    return Dataset(images=images, labels=labels, classes=classes, splits=splits)
+    return resplit(Dataset(images=images, labels=labels, classes=classes), labeled_frac, seed)
+
+
+def resplit(dataset: Dataset, labeled_frac: float, seed: int) -> Dataset:
+    """``dataset``'s rasters and labels, shared, under ``load_idx``'s split for ``seed``."""
+    return replace(dataset, splits=assign_splits(dataset.classes, dataset.labels, labeled_frac,
+                                                 make_rng(seed, 901)))
 
 
 def write_idx(images_path: str, labels_path: str, images: np.ndarray,
               labels: np.ndarray) -> None:
-    """Write rasters (quantized to u8) and labels as an IDX pair."""
+    """Write rasters (quantized to u8) and labels as an IDX pair, checking both first."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[3] != 1:
         raise ValueError("IDX export supports single-channel rasters only")
     n, rows, cols, _ = images.shape
-    pixels = np.round(images[:, :, :, 0] * 255.0).astype(np.uint8)
-    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols)
-    atomic_write_bytes(images_path, header + pixels.tobytes())
-
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError("labels length must match image count")
     if labels.min() < 0 or labels.max() > 255:
         raise ValueError("IDX labels must fit in a byte")
+    pixels = np.round(images[:, :, :, 0] * 255.0).astype(np.uint8)
+    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols)
+    atomic_write_bytes(images_path, header + pixels.tobytes())
     atomic_write_bytes(labels_path,
                        struct.pack(">II", IDX_LABEL_MAGIC, n) + labels.astype(np.uint8).tobytes())
 

@@ -1,10 +1,10 @@
 """Query/momentum encoders: MLP backbone plus projection head onto the unit
-hypersphere, two ``numcore`` layer stacks with their backward passes.
+hypersphere: one ``numcore`` layer stack, named by ``layer_dims``, and its backward.
 
-``encode_features`` runs the backbone alone and returns the features
+``encode_features`` runs the backbone layers alone and returns the features
 (pre-projection) the probe and linear evaluation read; ``features_backward``
-turns a cotangent on them into backbone gradients. ``encode_batch`` adds the
-head and returns the features and L2-normalized embeddings;
+turns a cotangent on them into backbone gradients. ``encode_batch`` runs the
+head layers on them and returns the features and L2-normalized embeddings;
 ``encode_backward`` turns a cotangent on the embeddings into parameter
 gradients. The latent deviation of an augmented view is the cosine
 similarity between the embeddings of the raw image and the augmented image.
@@ -16,6 +16,7 @@ u32 dims, and raw float64 data. Byte layout is deterministic for diffing.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -74,35 +75,36 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> ParamSe
 @dataclass
 class EncodeCache:
     """Intermediates needed by encode_backward, one row per input row: the
-    backbone's and the head's ``mlp_forward`` caches and the normalisation."""
+    stack's ``mlp_forward`` cache (one entry per layer) and the normalisation."""
 
-    backbone: list[tuple[np.ndarray, np.ndarray]]
-    head: list[tuple[np.ndarray, np.ndarray]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
     norms: np.ndarray
     z: np.ndarray
     zero_norm: np.ndarray       # bool per row: raw projection norm below NORM_EPS
 
     @property
     def x(self) -> np.ndarray:
-        return self.backbone[0][0]
+        return self.layers[0][0]
 
     def rows(self, start: int, stop: int) -> "EncodeCache":
         """The cache of rows start:stop, as views of this one."""
         sl = slice(start, stop)
-        return EncodeCache(backbone=[(x[sl], pre[sl]) for x, pre in self.backbone],
-                           head=[(x[sl], pre[sl]) for x, pre in self.head],
+        return EncodeCache(layers=[(x[sl], pre[sl]) for x, pre in self.layers],
                            norms=self.norms[sl], z=self.z[sl], zero_norm=self.zero_norm[sl])
 
 
-def _backbone(cfg: EncoderConfig, params: ParamSet) -> list:
-    """The backbone as a ``numcore`` layer stack over the segments of ``params``."""
-    return [(params[f"bb{i}.w"], params[f"bb{i}.b"], RELU) for i in range(len(cfg.hidden))]
+@functools.lru_cache(maxsize=None)
+def _layout(cfg: EncoderConfig) -> tuple:
+    """Per layer: weights name, bias name, activation (relu but the last, affine)."""
+    dims = cfg.layer_dims()
+    return tuple((f"{name}.w", f"{name}.b", RELU if i < len(dims) - 1 else None)
+                 for i, (name, _, _) in enumerate(dims))
 
 
-def _head(params: ParamSet) -> list:
-    """The projection head, likewise."""
-    return [(params["proj0.w"], params["proj0.b"], RELU),
-            (params["proj1.w"], params["proj1.b"], None)]
+def _stack(cfg: EncoderConfig, params: ParamSet, start: int = 0,
+           stop: int | None = None) -> list:
+    """Layers start:stop as a ``numcore`` layer stack over the segments of ``params``."""
+    return [(params[w], params[b], act) for w, b, act in _layout(cfg)[start:stop]]
 
 
 def encode_features(cfg: EncoderConfig, params: ParamSet,
@@ -112,7 +114,7 @@ def encode_features(cfg: EncoderConfig, params: ParamSet,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
-    return mlp_forward(_backbone(cfg, params), x)
+    return mlp_forward(_stack(cfg, params, stop=len(cfg.hidden)), x)
 
 
 def encode_batch(cfg: EncoderConfig, params: ParamSet,
@@ -123,26 +125,28 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     epsilon guard are flagged in cache.zero_norm.
     """
     features, backbone_cache = encode_features(cfg, params, x)
-    proj, head_cache = mlp_forward(_head(params), features)
+    proj, head_cache = mlp_forward(_stack(cfg, params, start=len(cfg.hidden)), features)
 
     raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=1))  # np.linalg.norm's own sum
     norms = np.maximum(raw_norms, NORM_EPS)
     z = proj / norms[:, None]
-    cache = EncodeCache(backbone=backbone_cache, head=head_cache, norms=norms, z=z,
+    cache = EncodeCache(layers=backbone_cache + head_cache, norms=norms, z=z,
                         zero_norm=raw_norms < NORM_EPS)
     return features, z, cache
 
 
-def features_backward(cfg: EncoderConfig, params: ParamSet, backbone_cache: list,
-                      d_features: np.ndarray, out: ParamSet | None = None) -> ParamSet:
-    """Backbone gradients given the cotangent on the features of the pass
-    that left ``backbone_cache``, added into ``out`` (and returned) or into a
-    fresh zero set. No gradient for the input is formed."""
+def features_backward(cfg: EncoderConfig, params: ParamSet, layers_cache: list,
+                      d_out: np.ndarray, out: ParamSet | None = None) -> ParamSet:
+    """Gradients of the layers ``layers_cache`` covers (the backbone, or all of
+    them), given the cotangent on that prefix's output, added into ``out`` (and
+    returned) or into a fresh zero set. No gradient for the input is formed."""
     out = params.zeros_like() if out is None else out
     params._check_compatible(out)
-    _, grads = mlp_backward(_backbone(cfg, params), backbone_cache, d_features)
-    # the stack over out's segments: in-place += writes into out.flat
-    _accumulate(_backbone(cfg, out), grads)
+    grads = mlp_backward(_stack(cfg, params, stop=len(layers_cache)), layers_cache, d_out)
+    # in-place += on views of out.flat; on a zero vector it stores 0 + d (so never -0.0)
+    for (g_w, g_b, _), (d_w, d_b) in zip(_stack(cfg, out), grads):
+        g_w += d_w
+        g_b += d_b
     return out
 
 
@@ -154,17 +158,7 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
     z, norms = cache.z, cache.norms
     inner = np.sum(z * d_z, axis=1, keepdims=True)
     d_proj = (d_z - z * inner) / norms[:, None]
-    d_features, grads = mlp_backward(_head(params), cache.head, d_proj, input_grad=True)
-    out = features_backward(cfg, params, cache.backbone, d_features, out=out)
-    _accumulate(_head(out), grads)
-    return out
-
-
-def _accumulate(out_layers: list, grads: list) -> None:
-    # in-place += on views of a zero vector stores 0 + d (so never -0.0)
-    for (g_w, g_b, _), (d_w, d_b) in zip(out_layers, grads):
-        g_w += d_w
-        g_b += d_b
+    return features_backward(cfg, params, cache.layers, d_proj, out=out)
 
 
 def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,

@@ -35,7 +35,7 @@ def _tiny_setup(seed: int):
     return rng, params, x_query, x_raw, x_aug, z_keys, queue
 
 
-def check_contrastive(seed: int = 0) -> float:
+def check_contrastive(seed: int) -> float:
     _, params, x_query, _, _, z_keys, queue = _tiny_setup(seed)
     tau = RunConfig().tau
 
@@ -60,11 +60,11 @@ def _check_consistency(loss, seed: int) -> float:
                       ParamSet({"omega": omega}), ParamSet({"omega": d_omega}))
 
 
-def check_consistency_abs(seed: int = 0) -> float:
+def check_consistency_abs(seed: int) -> float:
     return _check_consistency(consistency_loss_abs, seed)
 
 
-def check_consistency_softplus(seed: int = 0) -> float:
+def check_consistency_softplus(seed: int) -> float:
     return _check_consistency(consistency_loss_softplus, seed)
 
 
@@ -73,7 +73,7 @@ def _tiny_probe(rng) -> ParamSet:
                      "b": rng.standard_normal(3) * 0.1})
 
 
-def check_cross_entropy_probe(seed: int = 0) -> float:
+def check_cross_entropy_probe(seed: int) -> float:
     """``bilevel.head_ce``: the probe and linear-eval head gradient."""
     rng, params, _, x_raw, _, _, _ = _tiny_setup(seed)
     features, _ = encode_features(TINY_ENC, params, x_raw)
@@ -83,7 +83,7 @@ def check_cross_entropy_probe(seed: int = 0) -> float:
     return grad_check(lambda p: bilevel.head_ce(p, features, labels)[0], probe, analytic)
 
 
-def check_cross_entropy_encoder(seed: int = 0) -> float:
+def check_cross_entropy_encoder(seed: int) -> float:
     """``bilevel.probe_ce``: labeled cross-entropy through the encoder, with
     the encoder gradient the hypergradient oracle uses."""
     rng, params, _, x_raw, _, _, _ = _tiny_setup(seed)
@@ -98,7 +98,7 @@ def check_cross_entropy_encoder(seed: int = 0) -> float:
     return grad_check(loss_fn, params, analytic)
 
 
-def check_pmnn_mean_output(seed: int = 0) -> float:
+def check_pmnn_mean_output(seed: int) -> float:
     # A generic parameter point (random biases, post-training-like) and short
     # composite-like counts: keeps every used gradient coordinate well above
     # finite-difference roundoff and the tanh units unsaturated.
@@ -124,7 +124,7 @@ def check_pmnn_mean_output(seed: int = 0) -> float:
     return grad_check(loss_fn, params, analytic)
 
 
-def check_total_unsup(seed: int = 0) -> float:
+def check_total_unsup(seed: int) -> float:
     """The training loss itself: ``bilevel.unsup_eval`` (contrastive plus
     consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)

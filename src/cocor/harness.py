@@ -18,7 +18,7 @@ import numpy as np
 from . import bilevel
 from ._util import atomic_write_bytes, atomic_write_text
 from .config import RunConfig
-from .data import Dataset, load_idx, synth_dataset
+from .data import Dataset, load_idx, resplit, synth_dataset
 from .encoder import EncoderConfig, encode_features, init_encoder_params
 from .numcore import ParamSet, SgdState, make_rng, sgd_step
 
@@ -35,6 +35,9 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     if dataset.classes > cfg.classes:
         raise ValueError(f"{cfg.idx_labels}: labels run up to {dataset.classes - 1}, "
                          f"but classes = {cfg.classes}")
+    if dataset.image_shape != (cfg.height, cfg.width, cfg.channels):
+        raise ValueError(f"{cfg.idx_images}: rasters are {dataset.image_shape}, but (height, "
+                         f"width, channels) = ({cfg.height}, {cfg.width}, {cfg.channels})")
     return dataset
 
 
@@ -43,7 +46,7 @@ def build_dataset(cfg: RunConfig) -> Dataset:
 
 
 def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
-                cfg: RunConfig, seed: int = 0) -> float:
+                cfg: RunConfig, seed: int) -> float:
     """Train a fresh affine classifier on frozen backbone features of the
     eval-train split (fixed budget, cosine decay) and report top-1 accuracy
     on eval-test. The encoder is read-only throughout."""
@@ -73,7 +76,7 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
     return float(np.mean(np.argmax(logits, axis=1) == test_y))
 
 
-def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int = 0) -> float:
+def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int) -> float:
     """Linear probe on a freshly initialized, untrained encoder."""
     enc_cfg = bilevel.encoder_config(cfg)
     theta = init_encoder_params(enc_cfg, make_rng(cfg.seed, bilevel.STREAM_INIT_ENCODER))
@@ -120,15 +123,18 @@ def ablate_pmnn(cfg: RunConfig, dataset: Dataset, seeds: tuple[int, ...],
     """Paired comparison: fixed grid-tuned constant deviation versus the full
     learned-predictor bi-level run, matched per seed. ``dataset`` is
     ``ablation_dataset(cfg, seeds)``. A dataset depends on the seed and on
-    nothing an arm or a pilot changes: the pilots and seed ``cfg.seed``'s arms
-    run on ``dataset``, and every other seed's dataset is built for its two
-    arms and dropped after them, so at most two are alive."""
+    nothing an arm or a pilot changes, so the pilots and seed ``cfg.seed``'s
+    arms run on ``dataset``, and each other seed's is made for its two arms.
+    An IDX pair is read once: every seed resplits the same image array."""
     best_const, grid_results = tune_constant_deviation(cfg, dataset, grid, pilot_epochs)
 
     rows = []
     for seed in seeds:
         seed_cfg = dataclasses.replace(cfg, seed=seed)
-        seed_data = dataset if seed == cfg.seed else build_dataset(seed_cfg)
+        if cfg.dataset == "idx":
+            seed_data = resplit(dataset, cfg.labeled_frac, seed)
+        else:
+            seed_data = dataset if seed == cfg.seed else build_dataset(seed_cfg)
         acc_without = _run_once(dataclasses.replace(seed_cfg, use_pmnn=False,
                                                     const_deviation=best_const), seed_data)
         acc_with = _run_once(dataclasses.replace(seed_cfg, use_pmnn=True), seed_data)

@@ -261,11 +261,10 @@ def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list]:
     return x, cache
 
 
-def mlp_backward(layers, cache: list, d_out: np.ndarray, input_grad: bool = False
-                 ) -> tuple[np.ndarray | None, list]:
+def mlp_backward(layers, cache: list, d_out: np.ndarray) -> list:
     """Backward through the stack ``mlp_forward`` ran, given the cotangent on
-    its output. Returns (d_x, [(d_weights, d_bias) per layer]); d_x, the
-    cotangent on the input, is formed only with ``input_grad``."""
+    its output. Returns [(d_weights, d_bias) per layer]; no cotangent on the
+    stack's input is formed."""
     grads = [None] * len(layers)
     for i in reversed(range(len(layers))):
         weights, _, act = layers[i]
@@ -273,9 +272,9 @@ def mlp_backward(layers, cache: list, d_out: np.ndarray, input_grad: bool = Fals
         if act is not None:
             d_out = d_out * act[1](pre)
         grads[i] = (x.T @ d_out, d_out.sum(axis=0))
-        # the input layer's d_x only on request: nothing reads it in training
-        d_out = d_out @ weights.T if i or input_grad else None
-    return d_out, grads
+        if i:
+            d_out = d_out @ weights.T
+    return grads
 
 
 def mean(x: np.ndarray) -> float:

@@ -80,7 +80,7 @@ def grad_wrt_params(params: ParamSet, v_batch: np.ndarray) -> ParamSet:
         raise ValueError("empty batch")
     layers = _stack(params)
     _, cache = mlp_forward(layers, -v_batch)
-    _, grads = mlp_backward(layers, cache, np.full((n, 1), 1.0 / n))
+    grads = mlp_backward(layers, cache, np.full((n, 1), 1.0 / n))
     segments = {}
     for i, (d_w_eff, d_b) in enumerate(grads, start=1):
         # d effective / d raw = sigmoid(raw)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocor import gradsuite
+from cocor import bilevel, data, gradsuite
 from cocor.bilevel import encoder_config
 from cocor.cli import main
 from cocor.config import RunConfig, load_config, resolved_text
@@ -57,6 +57,15 @@ ABLATION_DIGESTS = [
     ("ablation.json", "6a608838cbb891ccc48a9a9bfb9f9956fd5d72ffff57a7d5d14fb0dd6dd327b7"),
     ("ablation.csv", "55fc277ad7a791b96d048af2b3630d22e74e240afa69f66856b2e471069ffdbc"),
 ]
+# The same run on TINY_CFG's data written by make-data and read back as IDX.
+IDX_ABLATION_DIGESTS = [
+    ("ablation.json", "94d994c56958ace7888e96b374d200c660304905cbf0ddd7a8454e2d4d25c37c"),
+    ("ablation.csv", "ad418fe1f71f4f6ffb02841a27efadd372c2374f4d73c08e7c3a43a64262668b"),
+]
+
+
+# ten_class_idx's pair holds 6x6 rasters; these keys ask for 8x8 ones
+SMALLER_RASTERS = "classes = 10\nheight = 8\nwidth = 8\n"
 
 
 def ten_class_idx(tmp_path) -> str:
@@ -227,7 +236,9 @@ class TestOtherCommands:
         ("lengths = 2\n", ["--seeds", "0,1"], "5 seeds"),
         ("lengths = 2\n{ten_classes}", [], "{tmp}/ten/labels.idx: labels run up to 9, "
          "but classes = 3"),
-    ], ids=["lengths", "missing-idx", "two-seeds", "more-classes"])
+        ("lengths = 2\n{ten_classes}" + SMALLER_RASTERS, [], "{tmp}/ten/images.idx: rasters "
+         "are (6, 6, 1), but (height, width, channels) = (8, 8, 1)"),
+    ], ids=["lengths", "missing-idx", "two-seeds", "more-classes", "smaller-rasters"])
     def test_ablate_pmnn_rejected_input_leaves_no_output(self, tmp_path, capsys,
                                                          extra, flags, reason):
         cfg = tmp_path / "ab.cfg"
@@ -236,6 +247,59 @@ class TestOtherCommands:
         reason = reason.format(tmp=tmp_path)
         out = tmp_path / "ab"
         assert main(["ablate-pmnn", "--config", str(cfg), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert reason in err and "runtime error" not in err
+        assert not out.exists()
+
+    def test_ablate_pmnn_reads_an_idx_pair_once(self, tiny_config, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        assert main(["make-data", "--config", tiny_config, "--out", str(data_dir)]) == 0
+        pair = [str(data_dir / "images.idx"), str(data_dir / "labels.idx")]
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(TINY_CFG + "lengths = 2\nepochs = 1\neval_epochs = 10\ndataset = idx\n"
+                       f"idx_images = {pair[0]}\nidx_labels = {pair[1]}\n")
+        reads, images = [], []
+        read_input, train = data.read_input, bilevel.train
+        monkeypatch.setattr(data, "read_input", lambda path: reads.append(path) or read_input(path))
+        monkeypatch.setattr(bilevel, "train", lambda c, ds: images.append(ds.images) or train(c, ds))
+        out = tmp_path / "ab"
+        assert main(["ablate-pmnn", "--config", str(cfg), "--out", str(out),
+                     "--seeds", "0,1,2,3,4", "--pilot-epochs", "1"]) == 0
+        assert reads == pair
+        assert len(images) == 17 and all(a is images[0] for a in images)
+        # recorded while every seed read the pair again
+        for name, digest in IDX_ABLATION_DIGESTS:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("command", ["pretrain", "eval-linear"])
+    def test_idx_raster_size_mismatch_exits_one_naming_images(self, tmp_path, capsys,
+                                                              command):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(TINY_CFG + ten_class_idx(tmp_path) + SMALLER_RASTERS)
+        flags = []
+        if command == "eval-linear":  # a checkpoint that fits the 8x8 config
+            enc = init_encoder_params(encoder_config(load_config(str(cfg))), make_rng(0))
+            save_checkpoint(str(tmp_path / "eight.ccor"),
+                            ParamSet({f"encoder.{k}": v for k, v in enc.items()}))
+            flags = ["--checkpoint", str(tmp_path / "eight.ccor")]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ten" / "images.idx") in err and "height" in err
+        assert "runtime error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, flags, reason", [
+        ("make-data", "classes = 300\n", [], "classes <= 256, got 300"),
+        ("augment-preview", "", ["--magnitude", "2"], "magnitude 2.0 outside [0, 1]"),
+        ("augment-preview", "", ["--length", "0"], "composite length must be >= 1"),
+    ], ids=["make-data-classes", "preview-magnitude", "preview-length"])
+    def test_rejected_input_leaves_no_output(self, tmp_path, capsys, command, extra, flags,
+                                             reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err
         assert reason in err and "runtime error" not in err
         assert not out.exists()

@@ -7,8 +7,8 @@ import pytest
 
 from cocor.bilevel import MetricsRecord, init_train_state, train
 from cocor.config import RunConfig
-from cocor.data import (Dataset, load_idx, read_idx_images, synth_dataset,
-                        weak_augment, write_idx)
+from cocor.data import (Dataset, load_idx, read_idx_images, read_idx_labels,
+                        synth_dataset, weak_augment, write_idx)
 from cocor.encoder import EncoderConfig
 from cocor.harness import (linear_eval, random_encoder_baseline, record_to_json_line,
                            write_metrics_jsonl, write_raster, write_summary_csv)
@@ -111,6 +111,25 @@ class TestIdx:
         path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(ValueError, match="payload"):
             read_idx_images(str(path))
+
+    @pytest.mark.parametrize("read, header, size, message", [
+        (read_idx_images, (0x00000803, 2, 2, 2), 5, "payload is 5 bytes, declared 2x2x2"),
+        (read_idx_images, (0x00000803, 2), 0, "truncated header"),
+        (read_idx_labels, (0x00000801, 3), 2, "payload is 2 bytes, declared 3"),
+        (read_idx_labels, (0x00000803, 3), 3, "bad label magic 0x00000803"),
+    ], ids=["image-payload", "image-header", "label-payload", "label-magic"])
+    def test_both_readers_keep_their_messages(self, tmp_path, read, header, size, message):
+        path = tmp_path / "f.idx"
+        path.write_bytes(struct.pack(f">{len(header)}I", *header) + b"\x00" * size)
+        with pytest.raises(ValueError, match=f"f.idx: {message}$"):
+            read(str(path))
+
+    @pytest.mark.parametrize("labels", [[0, 256], [0]], ids=["over-a-byte", "short"])
+    def test_export_checks_labels_before_writing_either_file(self, tmp_path, labels):
+        with pytest.raises(ValueError, match="labels"):
+            write_idx(str(tmp_path / "i.idx"), str(tmp_path / "l.idx"),
+                      np.zeros((2, 2, 2, 1)), np.array(labels))
+        assert list(tmp_path.iterdir()) == []
 
     def test_count_mismatch_between_files(self, tmp_path):
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")

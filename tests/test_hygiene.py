@@ -50,3 +50,40 @@ def test_no_unreferenced_private_definition(path):
                and node.name.startswith("_")]
     unused = [n for n in private if n not in _read_names(tree)]
     assert not unused, f"{path.name} defines {unused} but never references them"
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# every module whose reads count as use: the package's and the benchmark's, not tests
+READERS = MODULES + sorted(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
+# the chain-rule reference that acceptance criterion 4 checks the collapsed scalar against
+TEST_ONLY_ALLOWED = {("bilevel.py", "hypergradient_oracle")}
+
+
+def _reads_outside(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names ``tree`` loads, bare or as an attribute, outside the ``skip`` subtree."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_public_definition_only_tests_read():
+    trees = {path: _parse(path) for path in READERS}
+    unread = []
+    for path in MODULES:
+        elsewhere = set().union(*(_reads_outside(t) for p, t in trees.items() if p != path))
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and (path.name, node.name) not in TEST_ONLY_ALLOWED
+                    and node.name not in elsewhere
+                    and node.name not in _reads_outside(trees[path], skip=node)):
+                unread.append(f"{path.name}: {node.name}")
+    assert not unread, f"public definitions that no package or benchmark code reads: {unread}"

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pmnn
+from ._util import ConfigError
 from .augment import (POOL_SIZE, CompositeAugmentation, apply_composite, composition_vector,
                       sample_composite)
 from .config import RunConfig
@@ -445,13 +446,13 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
     """
     cfg.validate()
     if dataset.image_shape != (cfg.height, cfg.width, cfg.channels):
-        raise ValueError(f"dataset shape {dataset.image_shape} does not match config "
-                         f"({cfg.height}, {cfg.width}, {cfg.channels})")
+        raise ConfigError(f"dataset shape {dataset.image_shape} does not match config "
+                          f"({cfg.height}, {cfg.width}, {cfg.channels})")
     unlabeled = dataset.split_images("unlabeled_train")
     labeled_x_all = _flatten(dataset.split_images("labeled_train"))
     labeled_y_all = dataset.split_labels("labeled_train")
     if unlabeled.shape[0] < cfg.batch_size:
-        raise ValueError("unlabeled split smaller than one batch")
+        raise ConfigError(f"unlabeled split smaller than batch_size = {cfg.batch_size}")
 
     enc_cfg = encoder_config(cfg)
     steps_per_epoch = unlabeled.shape[0] // cfg.batch_size

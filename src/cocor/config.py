@@ -10,15 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from ._util import read_input
+from ._util import ConfigError, read_input
 
 VARIANTS = ("abs", "softplus")
 DATASETS = ("synth", "idx")
 ALTERNATIONS = ("iteration", "epoch")
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field."""
 
 
 @dataclass
@@ -78,6 +74,8 @@ class RunConfig:
             raise ConfigError("classes must be >= 2")
         if self.per_class < 1:
             raise ConfigError("per_class must be >= 1")
+        if min(self.height, self.width) < 2:
+            raise ConfigError(f"height and width must be >= 2, got {self.height}, {self.width}")
         if self.channels not in (1, 3):
             raise ConfigError("channels must be 1 or 3")
         if self.noise < 0:
@@ -169,7 +167,10 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    return parse_config_text(read_input(path).decode("utf-8"))
+    try:
+        return parse_config_text(read_input(path).decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def resolved_text(cfg: RunConfig) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import atomic_write_bytes, read_input
+from ._util import ConfigError, atomic_write_bytes, read_input
 from .numcore import make_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -148,13 +148,13 @@ def _read_idx(path: str, magic: int, kind: str, ndim: int) -> np.ndarray:
     data = read_input(path)
     header = 4 * (1 + ndim)  # the magic and each dim, big-endian u32
     if len(data) < header:
-        raise ValueError(f"{path}: truncated header")
+        raise ConfigError(f"{path}: truncated header")
     found, *shape = struct.unpack_from(f">{1 + ndim}I", data)
     if found != magic:
-        raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}")
+        raise ConfigError(f"{path}: bad {kind} magic 0x{found:08x}")
     payload = data[header:]
     if len(payload) != math.prod(shape):
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+        raise ConfigError(f"{path}: payload is {len(payload)} bytes, "
                          f"declared {'x'.join(map(str, shape))}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
@@ -173,8 +173,8 @@ def load_idx(images_path: str, labels_path: str, labeled_frac: float = 0.1,
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(f"{images_path} has {images.shape[0]} images but "
-                         f"{labels_path} has {labels.shape[0]} labels")
+        raise ConfigError(f"{images_path} has {images.shape[0]} images but "
+                          f"{labels_path} has {labels.shape[0]} labels")
     classes = int(labels.max()) + 1 if labels.size else 0
     return resplit(Dataset(images=images, labels=labels, classes=classes), labeled_frac, seed)
 

@@ -17,12 +17,13 @@ u32 dims, and raw float64 data. Byte layout is deterministic for diffing.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_bytes, read_input
+from ._util import ConfigError, atomic_write_bytes, read_input
 from .numcore import RELU, ParamSet, glorot_uniform, mlp_backward, mlp_forward
 
 NORM_EPS = 1e-12
@@ -208,7 +209,7 @@ class _Cursor:
 
     def grab(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise ValueError(f"{self.path}: truncated checkpoint")
+            raise ConfigError(f"{self.path}: truncated checkpoint")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -220,20 +221,22 @@ class _Cursor:
 def load_checkpoint(path: str) -> ParamSet:
     cur = _Cursor(read_input(path), path)
     if cur.grab(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {cur.data[:4]!r}")
+        raise ConfigError(f"{path}: bad checkpoint magic {cur.data[:4]!r}")
     version, count = cur.u32(2)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     segments: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = cur.u32()
-        name = cur.grab(name_len).decode("utf-8")
+        try:
+            name = cur.grab(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: a segment name is not UTF-8") from None
         if name in segments:
-            raise ValueError(f"{path}: repeated segment name {name!r}")
+            raise ConfigError(f"{path}: repeated segment name {name!r}")
         (ndim,) = cur.u32()
-        shape = cur.u32(ndim) if ndim else ()
-        n = int(np.prod(shape)) if ndim else 1
-        segments[name] = np.frombuffer(cur.grab(8 * n), dtype="<f8").reshape(shape)
+        shape = cur.u32(ndim)
+        segments[name] = np.frombuffer(cur.grab(8 * math.prod(shape)), "<f8").reshape(shape)
     if cur.pos != len(cur.data):
-        raise ValueError(f"{path}: trailing bytes after last segment")
+        raise ConfigError(f"{path}: trailing bytes after last segment")
     return ParamSet(segments)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bilevel, pmnn
+from .augment import POOL_SIZE
 from .config import VARIANTS, RunConfig
 from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
                       init_encoder_params)
@@ -105,16 +106,16 @@ def check_pmnn_mean_output(seed: int) -> float:
     rng = make_rng(seed, 42)
     h = 6
     params = ParamSet({
-        "w1": rng.uniform(-0.5, 0.5, size=(14, h)),
+        "w1": rng.uniform(-0.5, 0.5, size=(POOL_SIZE, h)),
         "b1": rng.uniform(-0.3, 0.3, size=h),
         "w2": rng.uniform(-0.5, 0.5, size=(h, h)),
         "b2": rng.uniform(-0.3, 0.3, size=h),
         "w3": rng.uniform(-0.5, 0.5, size=(h, 1)),
         "b3": rng.uniform(-0.3, 0.3, size=1),
     })
-    v_batch = np.zeros((3, 14), dtype=np.int64)
+    v_batch = np.zeros((3, POOL_SIZE), dtype=np.int64)
     for row in v_batch:
-        for idx in rng.integers(0, 14, size=rng.integers(1, 4)):
+        for idx in rng.integers(0, POOL_SIZE, size=rng.integers(1, 4)):
             row[idx] += 1
 
     def loss_fn(p: ParamSet) -> float:
@@ -129,7 +130,7 @@ def check_total_unsup(seed: int) -> float:
     consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
     batch = bilevel.StepBatch(x=np.concatenate([x_query, x_raw, x_aug]), z_keys=z_keys,
-                              v=np.zeros((3, 14), dtype=np.int64),
+                              v=np.zeros((3, POOL_SIZE), dtype=np.int64),
                               lengths=np.array([1, 2, 1]))
     g_vals = np.array([0.4, 0.1, 0.5])
 

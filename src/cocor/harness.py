@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from . import bilevel
-from ._util import atomic_write_bytes, atomic_write_text
+from ._util import ConfigError, atomic_write_bytes, atomic_write_text
 from .config import RunConfig
 from .data import Dataset, load_idx, resplit, synth_dataset
 from .encoder import EncoderConfig, encode_features, init_encoder_params
@@ -33,11 +33,11 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     dataset = load_idx(cfg.idx_images, cfg.idx_labels, labeled_frac=cfg.labeled_frac,
                        seed=cfg.seed)
     if dataset.classes > cfg.classes:
-        raise ValueError(f"{cfg.idx_labels}: labels run up to {dataset.classes - 1}, "
-                         f"but classes = {cfg.classes}")
+        raise ConfigError(f"{cfg.idx_labels}: labels run up to {dataset.classes - 1}, "
+                          f"but classes = {cfg.classes}")
     if dataset.image_shape != (cfg.height, cfg.width, cfg.channels):
-        raise ValueError(f"{cfg.idx_images}: rasters are {dataset.image_shape}, but (height, "
-                         f"width, channels) = ({cfg.height}, {cfg.width}, {cfg.channels})")
+        raise ConfigError(f"{cfg.idx_images}: rasters are {dataset.image_shape}, but (height, "
+                          f"width, channels) = ({cfg.height}, {cfg.width}, {cfg.channels})")
     return dataset
 
 
@@ -50,13 +50,13 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
     """Train a fresh affine classifier on frozen backbone features of the
     eval-train split (fixed budget, cosine decay) and report top-1 accuracy
     on eval-test. The encoder is read-only throughout."""
+    train_y = dataset.split_labels("eval_train")
+    test_y = dataset.split_labels("eval_test")
+    if train_y.size == 0 or test_y.size == 0:
+        raise ConfigError(f"eval splits are empty ({len(dataset.images)} rasters in all)")
     train_x, test_x = (
         encode_features(enc_cfg, theta_e, images.reshape(images.shape[0], -1))[0]
         for images in map(dataset.split_images, ("eval_train", "eval_test")))
-    train_y = dataset.split_labels("eval_train")
-    test_y = dataset.split_labels("eval_test")
-    if train_x.shape[0] == 0 or test_x.shape[0] == 0:
-        raise ValueError("eval splits are empty")
 
     classifier = ParamSet({"w": np.zeros((enc_cfg.feature_dim, dataset.classes)),
                            "b": np.zeros(dataset.classes)})
@@ -108,24 +108,20 @@ def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid,
     return best, results
 
 
-def ablation_dataset(cfg: RunConfig, seeds: tuple[int, ...]) -> Dataset:
-    """Check the ablation's inputs and build the pilots' dataset (seed
-    ``cfg.seed``). The protocol is defined for two-transform composites."""
-    if tuple(cfg.lengths) != (2,):
-        raise ValueError("the ablation protocol uses the length set {2}")
-    if len(seeds) < 5:
-        raise ValueError("ablation report requires at least 5 seeds")
-    return build_dataset(cfg)
-
-
-def ablate_pmnn(cfg: RunConfig, dataset: Dataset, seeds: tuple[int, ...],
-                grid=DEFAULT_DEVIATION_GRID, pilot_epochs: int = 5) -> dict:
+def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...], grid=DEFAULT_DEVIATION_GRID,
+                pilot_epochs: int = 5) -> dict:
     """Paired comparison: fixed grid-tuned constant deviation versus the full
-    learned-predictor bi-level run, matched per seed. ``dataset`` is
-    ``ablation_dataset(cfg, seeds)``. A dataset depends on the seed and on
-    nothing an arm or a pilot changes, so the pilots and seed ``cfg.seed``'s
-    arms run on ``dataset``, and each other seed's is made for its two arms.
-    An IDX pair is read once: every seed resplits the same image array."""
+    learned-predictor bi-level run, matched per seed. The protocol is defined
+    for two-transform composites and at least five seeds. A dataset depends
+    on the seed and on nothing an arm or a pilot changes, so the pilots and
+    seed ``cfg.seed``'s arms share one, and each other seed's is made for its
+    two arms. An IDX pair is read once: every seed resplits the same image
+    array."""
+    if tuple(cfg.lengths) != (2,):
+        raise ConfigError("the ablation protocol uses the length set {2}")
+    if len(seeds) < 5:
+        raise ConfigError("ablation report requires at least 5 seeds")
+    dataset = build_dataset(cfg)
     best_const, grid_results = tune_constant_deviation(cfg, dataset, grid, pilot_epochs)
 
     rows = []

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
+from .augment import POOL_SIZE
 from .numcore import TANH, ParamSet, mlp_backward, mlp_forward, sigmoid, softplus
 
-INPUT_DIM = 14
 BASE_DEVIATION = 0.6
 
 
@@ -36,7 +36,7 @@ def init_pmnn_params(rng: np.random.Generator, hidden: int) -> ParamSet:
         return rng.uniform(center - 0.5, center + 0.5, size=shape)
 
     return ParamSet({
-        "w1": raw(INPUT_DIM, (INPUT_DIM, hidden)),
+        "w1": raw(POOL_SIZE, (POOL_SIZE, hidden)),
         "b1": np.zeros(hidden),
         "w2": raw(hidden, (hidden, hidden)),
         "b2": np.zeros(hidden),
@@ -49,8 +49,8 @@ def _as_batch(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v[None, :]
-    if v.ndim != 2 or v.shape[1] != INPUT_DIM:
-        raise ValueError(f"composition vectors must have {INPUT_DIM} entries, got {v.shape}")
+    if v.ndim != 2 or v.shape[1] != POOL_SIZE:
+        raise ValueError(f"composition vectors must have {POOL_SIZE} entries, got {v.shape}")
     if (v < 0).any():
         raise ValueError("composition vector entries must be non-negative")
     return v

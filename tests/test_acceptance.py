@@ -22,8 +22,7 @@ from cocor.config import RunConfig
 from cocor.data import synth_dataset
 from cocor.encoder import EncoderConfig, encode_batch
 from cocor.gradsuite import run_gradient_suite
-from cocor.harness import (ablate_pmnn, ablation_dataset, build_dataset, linear_eval,
-                           random_encoder_baseline)
+from cocor.harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
 from cocor.losses import NegativeQueue, contrastive_loss
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid, softplus
 
@@ -224,7 +223,7 @@ def test_criterion_7_ablation_trend():
     reference = {"without": 50.20, "with": 52.04}  # published direction, not a target
     assert reference["with"] > reference["without"]
     seeds = (0, 1, 2, 3, 4)
-    rep = ablate_pmnn(cfg, ablation_dataset(cfg, seeds), seeds, pilot_epochs=5)
+    rep = ablate_pmnn(cfg, seeds, pilot_epochs=5)
     elapsed = time.monotonic() - t0
     passed = rep["mean_with"] >= rep["mean_without"] and elapsed < 1800.0
     per_seed = ", ".join(f"s{r['seed']}: {r['acc_without']:.3f}->{r['acc_with']:.3f}"

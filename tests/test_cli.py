@@ -77,6 +77,18 @@ def ten_class_idx(tmp_path) -> str:
             f"idx_labels = {tmp_path / 'ten' / 'labels.idx'}\n")
 
 
+def checkpoint_flags(tmp_path, cfg_path) -> list[str]:
+    """``--checkpoint`` for a fresh encoder that fits the config at ``cfg_path``."""
+    enc = init_encoder_params(encoder_config(load_config(str(cfg_path))), make_rng(0))
+    save_checkpoint(str(tmp_path / "fits.ccor"),
+                    ParamSet({f"encoder.{k}": v for k, v in enc.items()}))
+    return ["--checkpoint", str(tmp_path / "fits.ccor")]
+
+
+# A config that reads no more than 4 unlabeled rasters, against batches of 64
+SMALL_UNLABELED = "classes = 2\nper_class = 4\nbatch_size = 64\n"
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "run.cfg"
@@ -185,6 +197,49 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(bad)]) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, flags, key", [
+        ("dataset = mnist\n", [], "dataset"),
+        ("dataset = idx\n", [], "idx_images"),
+        ("classes = 1\n", [], "classes"),
+        ("per_class = 0\n", [], "per_class"),
+        ("height = 1\n", [], "height"),
+        ("width = 1\n", [], "width"),
+        ("channels = 2\n", [], "channels"),
+        ("noise = -0.1\n", [], "noise"),
+        ("labeled_frac = 0\n", [], "labeled_frac"),
+        ("hidden = 10,0\n", [], "hidden"),
+        ("batch_size = 0\n", [], "batch_size"),
+        ("", ["--epochs", "-1"], "epochs"),
+        ("", ["--queue", "0"], "queue_capacity"),
+        ("eta_e = 0\n", [], "eta_e"),
+        ("magnitude = 1.5\n", [], "magnitude"),
+        ("momentum_coef = 1.5\n", [], "momentum_coef"),
+        ("sgd_momentum = 1\n", [], "sgd_momentum"),
+        ("weight_decay = -1\n", [], "weight_decay"),
+        ("variant = l2\n", [], "variant"),
+        ("alternation = never\n", [], "alternation"),
+        ("", ["--lengths", "9"], "lengths"),
+        ("const_deviation = 2\n", [], "const_deviation"),
+        ("seed = -3\n", [], "seed"),
+        ("classes = many\n", [], "classes"),
+        ("use_pmnn = maybe\n", [], "use_pmnn"),
+        ("", ["--lengths", "1,two"], "lengths"),
+        ("classes 3\n", [], "classes 3"),
+        ("# r\u00e9glage\n", [], "bad.cfg: not UTF-8 text"),
+    ], ids=["dataset", "idx-paths", "classes", "per_class", "height", "width", "channels",
+            "noise", "labeled_frac", "hidden", "batch_size", "epochs", "queue", "eta_e",
+            "magnitude", "momentum_coef", "sgd_momentum", "weight_decay", "variant",
+            "alternation", "lengths", "const_deviation", "seed", "unparsable-int",
+            "unparsable-bool", "unparsable-flag", "missing-equals", "latin-1"])
+    def test_rejected_config_exits_one_naming_key(self, tmp_path, capsys, extra, flags, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes((TINY_CFG + extra).encode("latin-1"))
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert key in err and "runtime error" not in err
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_grad_check_passes(self, capsys):
@@ -238,7 +293,14 @@ class TestOtherCommands:
          "but classes = 3"),
         ("lengths = 2\n{ten_classes}" + SMALLER_RASTERS, [], "{tmp}/ten/images.idx: rasters "
          "are (6, 6, 1), but (height, width, channels) = (8, 8, 1)"),
-    ], ids=["lengths", "missing-idx", "two-seeds", "more-classes", "smaller-rasters"])
+        ("lengths = 2\n" + SMALL_UNLABELED, [], "unlabeled split smaller than batch_size = 64"),
+        ("lengths = 2\n", ["--seeds=-1,0,1,2,3"],
+         "--seeds must be comma-separated integers >= 0, got '-1,0,1,2,3'"),
+        ("lengths = 2\n", ["--seeds", "a,b,c,d,e"],
+         "--seeds must be comma-separated integers >= 0, got 'a,b,c,d,e'"),
+        ("lengths = 2\n", ["--pilot-epochs", "-1"], "--pilot-epochs must be >= 0, got -1"),
+    ], ids=["lengths", "missing-idx", "two-seeds", "more-classes", "smaller-rasters",
+            "small-unlabeled", "negative-seed", "non-integer-seeds", "negative-pilot-epochs"])
     def test_ablate_pmnn_rejected_input_leaves_no_output(self, tmp_path, capsys,
                                                          extra, flags, reason):
         cfg = tmp_path / "ab.cfg"
@@ -293,15 +355,46 @@ class TestOtherCommands:
         ("make-data", "classes = 300\n", [], "classes <= 256, got 300"),
         ("augment-preview", "", ["--magnitude", "2"], "magnitude 2.0 outside [0, 1]"),
         ("augment-preview", "", ["--length", "0"], "composite length must be >= 1"),
-    ], ids=["make-data-classes", "preview-magnitude", "preview-length"])
+        ("pretrain", SMALL_UNLABELED, [], "unlabeled split smaller than batch_size = 64"),
+        ("eval-linear", "classes = 2\nper_class = 2\n", [], "eval splits are empty"),
+        ("make-data", "height = 1\n", [], "height and width must be >= 2, got 1, 6"),
+        ("augment-preview", "width = 1\n", [], "height and width must be >= 2, got 6, 1"),
+    ], ids=["make-data-classes", "preview-magnitude", "preview-length", "small-unlabeled",
+            "empty-eval-splits", "make-data-height", "preview-width"])
     def test_rejected_input_leaves_no_output(self, tmp_path, capsys, command, extra, flags,
                                              reason):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG + extra)
+        if command == "eval-linear":
+            flags = flags + checkpoint_flags(tmp_path, cfg)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err
         assert reason in err and "runtime error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, target", [
+        ("pretrain", "cocor.bilevel.train"),
+        ("eval-linear", "cocor.harness.linear_eval"),
+        ("ablate-pmnn", "cocor.harness.linear_eval"),
+        ("augment-preview", "cocor.cli.apply_basic"),
+        ("make-data", "cocor.cli.synth_dataset"),
+    ])
+    def test_runtime_fault_exits_two_and_leaves_no_output(self, tmp_path, capsys,
+                                                         monkeypatch, command, target):
+        # a ValueError below the input checks is a fault of the run, not a bad input
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG + "lengths = 2\n")
+        flags = {"eval-linear": checkpoint_flags(tmp_path, cfg),
+                 "ablate-pmnn": ["--pilot-epochs", "1"]}.get(command, [])
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(target, boom)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert "runtime error: boom" in capsys.readouterr().err
         assert not out.exists()
 
     def test_augment_preview_writes_rasters(self, tiny_config, tmp_path):
@@ -330,6 +423,17 @@ class TestOtherCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert "dup.ccor" in err and "encoder.bb0.w" in err
+
+    def test_checkpoint_name_not_utf8_exits_one(self, tiny_config, tmp_path, capsys):
+        path = tmp_path / "bad.ccor"
+        save_checkpoint(str(path), ParamSet({"encoder.bb0.w": np.ones((36, 10))}))
+        path.write_bytes(path.read_bytes().replace(b"bb0", b"b\xff0"))
+        code = main(["eval-linear", "--config", tiny_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.ccor: a segment name is not UTF-8" in err and "runtime error" not in err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("hidden, segment", [("10,8,8", "encoder.bb2.w"),
                                                  ("10,6", "encoder.bb1.w")],
@@ -376,6 +480,11 @@ class TestConfigFormat:
         cfg = apply_overrides(cfg, {"epochs": "9", "lengths": "1,2"})
         assert cfg.epochs == 9
         assert cfg.lengths == (1, 2)
+
+    def test_unknown_override_is_rejected_naming_it(self):
+        from cocor.config import ConfigError, apply_overrides
+        with pytest.raises(ConfigError, match="unknown config key 'nonsense'"):
+            apply_overrides(RunConfig(), {"nonsense": "1"})
 
     def test_resolved_text_parses_back_to_same_config(self):
         cfg = RunConfig(lengths=(1, 3), hidden=(32, 16), variant="abs", seed=11)

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cocor._util import atomic_write_bytes
 from cocor.bilevel import MetricsRecord, init_train_state, train
 from cocor.config import RunConfig
 from cocor.data import (Dataset, load_idx, read_idx_images, read_idx_labels,
@@ -240,6 +243,29 @@ class TestMetricsPersistence:
         assert lines[0].startswith("epochs,steps,")
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"umask-{m:03o}")
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(str(tmp_path / "atomic"), b"x")
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic", "plain")}
+        assert modes == {0o666 & ~umask}
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_bytes(str(tmp_path / "out.bin"), b"x")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRasterPreview:
     def test_pgm_header_and_payload(self, tmp_path):
         img = np.zeros((2, 3, 1))
@@ -266,16 +292,16 @@ def test_random_encoder_baseline_runs():
 
 class TestAblation:
     def test_requires_two_transform_composites(self):
-        from cocor.harness import ablation_dataset
+        from cocor.harness import ablate_pmnn
 
         with pytest.raises(ValueError, match="length set"):
-            ablation_dataset(RunConfig(**SMALL, lengths=(1,)), (0, 1, 2, 3, 4))
+            ablate_pmnn(RunConfig(**SMALL, lengths=(1,)), (0, 1, 2, 3, 4))
 
     def test_requires_five_seeds(self):
-        from cocor.harness import ablation_dataset
+        from cocor.harness import ablate_pmnn
 
         with pytest.raises(ValueError, match="seeds"):
-            ablation_dataset(RunConfig(**SMALL, lengths=(2,)), (0, 1))
+            ablate_pmnn(RunConfig(**SMALL, lengths=(2,)), (0, 1))
 
     def test_builds_one_dataset_per_seed(self, monkeypatch):
         # the pilots and seed 2's arms run at cfg.seed 2 and share its dataset;
@@ -305,21 +331,18 @@ class TestAblation:
         monkeypatch.setattr(harness, "_run_once", run_once)
         cfg = RunConfig(**{**SMALL, "seed": 2}, lengths=(2,))
         seeds = (0, 1, 2, 3, 4)
-        harness.ablate_pmnn(cfg, harness.ablation_dataset(cfg, seeds), seeds,
-                            grid=(0.4, 0.7), pilot_epochs=1)
+        harness.ablate_pmnn(cfg, seeds, grid=(0.4, 0.7), pilot_epochs=1)
         assert list(built) == [2, 0, 1, 3, 4]
         assert runs == [2, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_report_schema_and_trend_fields(self, tmp_path):
         # smallest honest run: tiny data, 1-epoch mains, 1-epoch pilots
-        from cocor.harness import (ablate_pmnn, ablation_dataset, write_report_csv,
-                                   write_report_json)
+        from cocor.harness import ablate_pmnn, write_report_csv, write_report_json
 
         cfg = RunConfig(**{**SMALL, "per_class": 24, "epochs": 1, "eval_epochs": 10},
                         lengths=(2,))
         seeds = (0, 1, 2, 3, 4)
-        report = ablate_pmnn(cfg, ablation_dataset(cfg, seeds), seeds, grid=(0.4, 0.7),
-                             pilot_epochs=1)
+        report = ablate_pmnn(cfg, seeds, grid=(0.4, 0.7), pilot_epochs=1)
         assert len(report["per_seed"]) == 5
         for row in report["per_seed"]:
             assert set(row) == {"seed", "acc_without", "acc_with", "difference"}

@@ -154,7 +154,7 @@ def _sharpness(imgs, t):
 # Histogram transforms, per raster and channel
 
 
-def _autocontrast(imgs, t):
+def _autocontrast(imgs, _t):
     lo = imgs.min(axis=(1, 2), keepdims=True)
     hi = imgs.max(axis=(1, 2), keepdims=True)
     flat = hi - lo < 1.0 / 255.0
@@ -162,7 +162,7 @@ def _autocontrast(imgs, t):
     return np.where(flat, imgs, stretched)
 
 
-def _equalize(imgs, t):
+def _equalize(imgs, _t):
     n, h, w, c = imgs.shape
     npix = h * w
     q = np.round(imgs * 255.0).astype(np.int64)

@@ -378,21 +378,16 @@ def encoder_config(cfg: RunConfig) -> EncoderConfig:
 def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
                      total_steps: int) -> TrainState:
     theta_e = init_encoder_params(enc_cfg, make_rng(cfg.seed, STREAM_INIT_ENCODER))
-    theta_k = theta_e.copy()
-    theta_d = None
-    opt_d = None
-    if cfg.use_pmnn:
-        theta_d = pmnn.init_pmnn_params(make_rng(cfg.seed, STREAM_INIT_PMNN),
-                                        cfg.pmnn_hidden)
-        opt_d = SgdState.init(theta_d, cfg.eta_d)
+    theta_d = (pmnn.init_pmnn_params(make_rng(cfg.seed, STREAM_INIT_PMNN), cfg.pmnn_hidden)
+               if cfg.use_pmnn else None)
     probe = ParamSet({"w": np.zeros((enc_cfg.feature_dim, cfg.classes)),
                       "b": np.zeros(cfg.classes)})
     return TrainState(
-        enc_cfg=enc_cfg, theta_e=theta_e, theta_k=theta_k, theta_d=theta_d,
+        enc_cfg=enc_cfg, theta_e=theta_e, theta_k=theta_e.copy(), theta_d=theta_d,
         probe=probe, queue=NegativeQueue(cfg.queue_capacity, enc_cfg.embed_dim),
         opt_e=SgdState.init(theta_e, cfg.eta_e, cfg.sgd_momentum, cfg.weight_decay,
                             total_steps=total_steps),
-        opt_d=opt_d,
+        opt_d=SgdState.init(theta_d, cfg.eta_d) if cfg.use_pmnn else None,
         opt_probe=SgdState.init(probe, cfg.probe_lr, momentum=0.9),
         const_deviation=cfg.const_deviation)
 
@@ -462,51 +457,46 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         return state, metrics
 
     warm_up_queue(state, cfg, unlabeled)
+    # the predictor is updated after every step, once an epoch, or never
+    per_step = state.theta_d is not None and cfg.alternation == "iteration"
+    per_epoch = state.theta_d is not None and cfg.alternation == "epoch"
+
+    def labeled_batch(key: int) -> tuple[np.ndarray, np.ndarray]:
+        n = labeled_y_all.size
+        idx = make_rng(cfg.seed, STREAM_LABELED, key).choice(n, size=min(cfg.batch_size, n),
+                                                              replace=False)
+        return labeled_x_all[idx], labeled_y_all[idx]
 
     t0 = time.monotonic()
-    n_labeled = labeled_x_all.shape[0]
-    labeled_bs = min(cfg.batch_size, n_labeled)
-
     for epoch in range(cfg.epochs):
         perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
         # never written in place: each sgd_step makes a new set
-        epoch_start_theta = state.theta_e if cfg.alternation == "epoch" else None
-        epoch_rows = []
+        epoch_start_theta = state.theta_e if per_epoch else None
 
         for it in range(steps_per_epoch):
             idx = perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
             # the labeled batch is keyed by the step count encoder_step reaches
-            lab_rng = make_rng(cfg.seed, STREAM_LABELED, state.step + 1)
-            lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
-            x_lab, y_lab = labeled_x_all[lab_idx], labeled_y_all[lab_idx]
+            x_lab, y_lab = labeled_batch(state.step + 1)
             info = encoder_step(state, cfg, unlabeled[idx], x_lab, step_tag=state.step)
             ce = probe_step(state, info.after.labeled_features, y_lab)
-
-            coefficient = None
-            if state.theta_d is not None and cfg.alternation == "iteration":
-                coefficient = pmnn_step(state, y_lab, info).coefficient
-
-            record = MetricsRecord(
+            coefficient = pmnn_step(state, y_lab, info).coefficient if per_step else None
+            metrics.append(MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
                 l_contrast=info.before.lc, l_consist=info.before.lcons,
                 l_u=info.before.lu, ce=ce,
                 k_by_length={str(k): v for k, v in info.before.k_by_length.items()},
                 coefficient=coefficient, guard_count=state.guard_count,
-                probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0)
-            metrics.append(record)
-            epoch_rows.append(record)
+                probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0))
             # only the epoch-level predictor update reads a step's views
             # later; drop them before the next step allocates its own
-            last_batch = info.batch if cfg.alternation == "epoch" else None
+            last_batch = info.batch if per_epoch else None
             del info
 
-        # last_batch is set: train rejects an unlabeled split under one batch
-        if state.theta_d is not None and cfg.alternation == "epoch":
-            lab_rng = make_rng(cfg.seed, STREAM_LABELED, cfg.epochs * steps_per_epoch + epoch)
-            lab_idx = lab_rng.choice(n_labeled, size=labeled_bs, replace=False)
-            info = _epoch_pair_info(state, cfg, epoch_start_theta, last_batch,
-                                    labeled_x_all[lab_idx])
-            pmnn_step(state, labeled_y_all[lab_idx], info)
+        if per_epoch:
+            # last_batch is set: train rejects an unlabeled split under one batch
+            x_lab, y_lab = labeled_batch(cfg.epochs * steps_per_epoch + epoch)
+            pmnn_step(state, y_lab,
+                      _epoch_pair_info(state, cfg, epoch_start_theta, last_batch, x_lab))
 
         if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
@@ -515,13 +505,15 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
                              labeled_y_all)
         dacl_val = dacl(enc_cfg, state.theta_e, state.predict,
                         _dacl_probe_set(cfg, unlabeled, epoch))
+        # a loss averages over the epoch's steps, k_l over the steps that drew length l
+        rows = metrics[-steps_per_epoch:]
+        lengths = sorted({k for r in rows for k in r.k_by_length})
         metrics.append(MetricsRecord(
             record_type="epoch", epoch=epoch, step=state.step,
-            l_contrast=float(np.mean([r.l_contrast for r in epoch_rows])),
-            l_consist=float(np.mean([r.l_consist for r in epoch_rows])),
-            l_u=float(np.mean([r.l_u for r in epoch_rows])),
-            ce=float(np.mean([r.ce for r in epoch_rows])),
-            k_by_length=_mean_k(epoch_rows),
+            **{f: float(np.mean([getattr(r, f) for r in rows]))
+               for f in ("l_contrast", "l_consist", "l_u", "ce")},
+            k_by_length={k: float(np.mean([r.k_by_length[k] for r in rows
+                                           if k in r.k_by_length])) for k in lengths},
             coefficient=None, guard_count=state.guard_count,
             probe_acc=acc, dacl=dacl_val, wall_clock=time.monotonic() - t0))
     return state, metrics
@@ -540,11 +532,3 @@ def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
                           cfg, want_grad=False)
     return StepInfo(batch=batch, before=before, after=after)
 
-
-def _mean_k(rows: list[MetricsRecord]) -> dict[str, float]:
-    keys = sorted({k for r in rows for k in r.k_by_length})
-    out = {}
-    for k in keys:
-        vals = [r.k_by_length[k] for r in rows if k in r.k_by_length]
-        out[k] = float(np.mean(vals))
-    return out

@@ -11,6 +11,7 @@ whose exact settings it replays.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -64,21 +65,18 @@ def _configured(command):
     return run
 
 
-def cmd_pretrain(cfg: RunConfig, args) -> str:
+def cmd_pretrain(cfg: RunConfig, _args) -> str:
     state, records = bilevel.train(cfg, harness.build_dataset(cfg))
     harness.write_metrics_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), records)
     harness.write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), state, records)
-    segments = {f"encoder.{k}": v for k, v in state.theta_e.items()}
-    segments.update({f"momentum.{k}": v for k, v in state.theta_k.items()})
-    if state.theta_d is not None:
-        segments.update({f"pmnn.{k}": v for k, v in state.theta_d.items()})
-    segments.update({f"probe.{k}": v for k, v in state.probe.items()})
-    save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.ccor"), ParamSet(segments))
-    epoch_records = [r for r in records if r.record_type == "epoch"]
-    if epoch_records:
-        return (f"pretrain done: {state.step} steps, "
-                f"final probe acc {epoch_records[-1].probe_acc:.4f}")
-    return "pretrain done: 0 steps"
+    parts = (("encoder", state.theta_e), ("momentum", state.theta_k), ("pmnn", state.theta_d),
+             ("probe", state.probe))
+    save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.ccor"), ParamSet(
+        {f"{prefix}.{k}": v for prefix, params in parts if params is not None
+         for k, v in params.items()}))
+    if not records:  # epochs = 0; otherwise the stream ends with an epoch record
+        return "pretrain done: 0 steps"
+    return f"pretrain done: {state.step} steps, final probe acc {records[-1].probe_acc:.4f}"
 
 
 def cmd_eval_linear(cfg: RunConfig, args) -> str:
@@ -156,14 +154,12 @@ def cmd_augment_preview(cfg: RunConfig, args) -> str:
     return f"wrote previews for {len(TransformId)} transforms to {cfg.out_dir}"
 
 
-def cmd_make_data(cfg: RunConfig, args) -> str:
+def cmd_make_data(cfg: RunConfig, _args) -> str:
     if cfg.channels != 1:
         raise ConfigError("IDX export supports channels = 1 only")
     if cfg.classes > 256:
         raise ConfigError(f"IDX labels must fit in a byte, so classes <= 256, got {cfg.classes}")
-    dataset = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width,
-                            cfg.noise, make_rng(cfg.seed, 100), channels=1,
-                            labeled_frac=cfg.labeled_frac)
+    dataset = harness.build_dataset(dataclasses.replace(cfg, dataset="synth"))
     images_path = os.path.join(cfg.out_dir, "images.idx")
     labels_path = os.path.join(cfg.out_dir, "labels.idx")
     write_idx(images_path, labels_path, dataset.images, dataset.labels)

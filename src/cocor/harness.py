@@ -121,6 +121,9 @@ def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...], grid=DEFAULT_DEVIATION_G
         raise ConfigError("the ablation protocol uses the length set {2}")
     if len(seeds) < 5:
         raise ConfigError("ablation report requires at least 5 seeds")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"ablation seed {repeated[0]} is repeated; seeds must differ")
     dataset = build_dataset(cfg)
     best_const, grid_results = tune_constant_deviation(cfg, dataset, grid, pilot_epochs)
 
@@ -173,23 +176,14 @@ def write_summary_csv(path: str, state: bilevel.TrainState,
                       records: list[bilevel.MetricsRecord]) -> None:
     """One-row run summary; the only place wall-clock time is persisted."""
     epoch_records = [r for r in records if r.record_type == "epoch"]
-    last = epoch_records[-1] if epoch_records else None
-    values = {
-        "epochs": len(epoch_records),
-        "steps": state.step,
-        "final_l_contrast": last.l_contrast if last else "",
-        "final_l_consist": last.l_consist if last else "",
-        "final_l_u": last.l_u if last else "",
-        "final_ce": last.ce if last else "",
-        "final_probe_acc": last.probe_acc if last else "",
-        "final_dacl": last.dacl if last else "",
-        "guard_count": state.guard_count,
-        "zero_norm_count": state.zero_norm_count,
-        "wall_clock_s": records[-1].wall_clock if records else 0.0,
-    }
-    lines = [",".join(SUMMARY_FIELDS),
-             ",".join(str(values[f]) for f in SUMMARY_FIELDS)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    totals = {"epochs": len(epoch_records), "steps": state.step,
+              "guard_count": state.guard_count, "zero_norm_count": state.zero_norm_count,
+              "wall_clock_s": records[-1].wall_clock if records else 0.0}
+    # final_x is field x of the last epoch record, empty when there is none
+    last = vars(epoch_records[-1]) if epoch_records else {}
+    values = [totals[f] if f in totals else last.get(f.removeprefix("final_"), "")
+              for f in SUMMARY_FIELDS]
+    atomic_write_text(path, ",".join(SUMMARY_FIELDS) + "\n" + ",".join(map(str, values)) + "\n")
 
 
 def write_report_json(path: str, report: dict) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,33 @@ PINNED_DIGESTS = [
     ("hidden = 24,20,16\n",
      ("0bd85c39a2a2b0e15cefc3f08aee6a6642ca4e4e58c548b86d5f9c3f969c26ac",
       "0d14827fac8fb67e5f38d2d7d598981159fb1d35aeddfdaaecfbd9d104acd63a")),
+    # an empty metrics stream and the initial parameters
+    ("epochs = 0\n",
+     ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+      "c0473d6bf2482d629bcce924fa289d5bc2a6b0a6841991daf044536285a1ea55")),
 ]
+# The same runs' summary.csv row without its wall_clock_s value, and the line
+# pretrain prints.
+SUMMARY_HEADER = ("epochs,steps,final_l_contrast,final_l_consist,final_l_u,final_ce,"
+                  "final_probe_acc,final_dacl,guard_count,zero_norm_count,wall_clock_s")
+PINNED_SUMMARIES = {
+    "": ("3,24,2.7804245652180097,1.0472864816129124,3.8277110468309226,"
+         "1.1125632051922691,0.625,0.6099186887146428,0,0",
+         "pretrain done: 24 steps, final probe acc 0.6250"),
+    "alternation = epoch\nvariant = abs\n":
+        ("3,24,2.8111151711826503,0.6153264563353047,3.4264416275179546,"
+         "1.2012314648894562,0.5,0.6105045140105341,0,0",
+         "pretrain done: 24 steps, final probe acc 0.5000"),
+    "use_pmnn = false\nconst_deviation = 0.7\n":
+        ("3,24,2.773269665183328,0.8541741717055757,3.6274438368889035,"
+         "1.1131826193597627,0.625,0.2990933006818417,0,0",
+         "pretrain done: 24 steps, final probe acc 0.6250"),
+    "hidden = 24,20,16\n":
+        ("3,24,2.8092232897572442,1.0472066100109627,3.856429899768207,"
+         "1.3055735499416685,0.5,0.6101084116482147,0,0",
+         "pretrain done: 24 steps, final probe acc 0.5000"),
+    "epochs = 0\n": ("0,0,,,,,,,0,0", "pretrain done: 0 steps"),
+}
 
 # `ablate-pmnn` on TINY_CFG with lengths 2, one epoch, 10 eval epochs, seeds 0-4
 # and one pilot epoch (numpy 2.4, OpenBLAS, x86-64).
@@ -109,13 +136,18 @@ class TestPretrain:
             assert a == b, name
 
     @pytest.mark.parametrize("extra, digests", PINNED_DIGESTS)
-    def test_outputs_match_pinned_digests(self, tmp_path, extra, digests):
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, extra, digests):
         cfg = tmp_path / "det.cfg"
         cfg.write_text(DETERMINISM_CFG + extra)
         out = tmp_path / "run"
         assert main(["pretrain", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
         for name, digest in zip(("metrics.jsonl", "checkpoint.ccor"), digests):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        row, printed = PINNED_SUMMARIES[extra]
+        header, values = (out / "summary.csv").read_text().splitlines()
+        assert header == SUMMARY_HEADER
+        assert values.rsplit(",", 1)[0] == row
+        assert capsys.readouterr().out == printed + "\n"
 
     def test_resolved_config_round_trips(self, tiny_config, tmp_path):
         out = str(tmp_path / "run")
@@ -299,8 +331,10 @@ class TestOtherCommands:
         ("lengths = 2\n", ["--seeds", "a,b,c,d,e"],
          "--seeds must be comma-separated integers >= 0, got 'a,b,c,d,e'"),
         ("lengths = 2\n", ["--pilot-epochs", "-1"], "--pilot-epochs must be >= 0, got -1"),
+        ("lengths = 2\n", ["--seeds", "3,1,4,1,5"], "ablation seed 1 is repeated"),
     ], ids=["lengths", "missing-idx", "two-seeds", "more-classes", "smaller-rasters",
-            "small-unlabeled", "negative-seed", "non-integer-seeds", "negative-pilot-epochs"])
+            "small-unlabeled", "negative-seed", "non-integer-seeds", "negative-pilot-epochs",
+            "repeated-seeds"])
     def test_ablate_pmnn_rejected_input_leaves_no_output(self, tmp_path, capsys,
                                                          extra, flags, reason):
         cfg = tmp_path / "ab.cfg"
@@ -359,8 +393,9 @@ class TestOtherCommands:
         ("eval-linear", "classes = 2\nper_class = 2\n", [], "eval splits are empty"),
         ("make-data", "height = 1\n", [], "height and width must be >= 2, got 1, 6"),
         ("augment-preview", "width = 1\n", [], "height and width must be >= 2, got 6, 1"),
+        ("make-data", "channels = 3\n", [], "IDX export supports channels = 1 only"),
     ], ids=["make-data-classes", "preview-magnitude", "preview-length", "small-unlabeled",
-            "empty-eval-splits", "make-data-height", "preview-width"])
+            "empty-eval-splits", "make-data-height", "preview-width", "make-data-channels"])
     def test_rejected_input_leaves_no_output(self, tmp_path, capsys, command, extra, flags,
                                              reason):
         cfg = tmp_path / "run.cfg"
@@ -378,7 +413,7 @@ class TestOtherCommands:
         ("eval-linear", "cocor.harness.linear_eval"),
         ("ablate-pmnn", "cocor.harness.linear_eval"),
         ("augment-preview", "cocor.cli.apply_basic"),
-        ("make-data", "cocor.cli.synth_dataset"),
+        ("make-data", "cocor.harness.synth_dataset"),
     ])
     def test_runtime_fault_exits_two_and_leaves_no_output(self, tmp_path, capsys,
                                                          monkeypatch, command, target):
@@ -452,6 +487,30 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert f"'{segment}'" in err and "tiny.ccor" in err and "runtime error" not in err
         assert not (tmp_path / "e").exists()  # a rejected checkpoint leaves no output
+
+    @pytest.mark.parametrize("prefix, extra, version, reason", [
+        ("momentum", {}, 1, "has no encoder segments"),
+        ("encoder", {"encoder.bb9.w": np.ones((8, 8))}, 1,
+         "segment 'encoder.bb9.w' is not part of the configured encoder"),
+        ("encoder", {}, 2, "unsupported checkpoint version 2"),
+    ], ids=["no-encoder", "extra-encoder", "version-2"])
+    def test_rejected_checkpoint_exits_one_and_leaves_no_output(self, tiny_config, tmp_path,
+                                                                capsys, prefix, extra,
+                                                                version, reason):
+        # the tiny config's encoder, saved under `prefix`, plus `extra`, as `version`
+        enc = init_encoder_params(encoder_config(load_config(tiny_config)), make_rng(0))
+        path = tmp_path / "bad.ccor"
+        save_checkpoint(str(path), ParamSet({**{f"{prefix}.{k}": v for k, v in enc.items()},
+                                             **extra}))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        out = tmp_path / "e"
+        code = main(["eval-linear", "--config", tiny_config, "--out", str(out),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and reason in err and "runtime error" not in err
+        assert not out.exists()
 
     def test_directory_as_checkpoint_exits_one_with_path(self, tiny_config, tmp_path,
                                                          capsys):

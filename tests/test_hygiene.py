@@ -1,6 +1,7 @@
 """Static checks on the package source: no top-level import that its module
-never reads, and no private module-level function or class that its module
-never references. Only the standard library's ``ast`` is used."""
+never reads, no private module-level function or class that its module never
+references, and no function parameter that its function never reads. Only the
+standard library's ``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -15,7 +16,7 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _read_names(tree: ast.Module) -> set[str]:
+def _read_names(tree: ast.AST) -> set[str]:
     """Every name the module loads, as a bare name or as an attribute base."""
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -50,6 +51,20 @@ def test_no_unreferenced_private_definition(path):
                and node.name.startswith("_")]
     unused = [n for n in private if n not in _read_names(tree)]
     assert not unused, f"{path.name} defines {unused} but never references them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameter(path):
+    # a parameter that a dispatch signature needs but its body ignores is _-prefixed
+    unread = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            reads = set().union(*map(_read_names, node.body))
+            unread += [f"{node.name}({p.arg})" for p in params
+                       if p and not p.arg.startswith("_") and p.arg not in reads]
+    assert not unread, f"{path.name}: parameters never read: {unread}"
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"

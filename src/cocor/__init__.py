@@ -4,9 +4,8 @@ updates."""
 
 __version__ = "0.1.0"
 
-from .augment import (BasicTransform, CompositeAugmentation, TransformId,
-                      apply_basic, apply_composite, composition_vector,
-                      sample_composite)
+from .augment import (BasicTransform, TransformId, apply_basic, apply_composite,
+                      composition_vector, sample_composite)
 from .bilevel import (BilevelScalars, MetricsRecord, TrainState, dacl,
                       deviation_gap_coefficient, encoder_step, hypergradient_oracle,
                       pmnn_step, probe_step, train)

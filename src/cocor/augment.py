@@ -6,9 +6,9 @@ a batch of one. Every transform preserves dimensions and clamps its output
 back into [0, 1]; geometric transforms fill vacated pixels with 0.5 instead
 of resizing. Their bilinear sampling plans are cached per (transform, H, W).
 
-A composite augmentation is an ordered chain of basic transforms; its
-composition vector counts how many times each pool member appears, so it is
-invariant under reordering of the chain and its entries sum to the chain
+A composite augmentation is a tuple of basic transforms, applied in order;
+its composition vector counts how many times each pool member appears, so it
+is invariant under reordering of the chain and its entries sum to the chain
 length.
 """
 
@@ -68,24 +68,6 @@ class BasicTransform:
             raise ValueError(f"magnitude {self.magnitude} outside [0, 1]")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
-@dataclass(frozen=True)
-class CompositeAugmentation:
-    """Ordered chain of at least one basic transform."""
-
-    transforms: tuple[BasicTransform, ...]
-
-    def __post_init__(self):
-        if len(self.transforms) == 0:
-            raise ValueError("composite augmentation must contain at least one transform")
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-
-    def __len__(self) -> int:
-        return len(self.transforms)
-
-    def __iter__(self):
-        return iter(self.transforms)
 
 
 def validate_batch(imgs: np.ndarray) -> np.ndarray:
@@ -287,25 +269,29 @@ def apply_basic(t: BasicTransform, imgs: np.ndarray) -> np.ndarray:
     return _clamp(_DISPATCH[t.id](imgs, t))
 
 
-def sample_composite(length: int, magnitude: float,
-                     rng: np.random.Generator) -> CompositeAugmentation:
-    """Draw ``length`` transforms i.i.d. uniformly from the pool (with
+def sample_composite(lengths: Sequence[int], magnitude: float,
+                     rng: np.random.Generator) -> tuple[BasicTransform, ...]:
+    """Draw a length uniformly from ``lengths`` (no bits when it has one
+    entry), then that many transforms i.i.d. uniformly from the pool (with
     replacement), each at the given magnitude with a uniform random sign."""
+    length = lengths[rng.integers(0, len(lengths))]
     if length < 1:
         raise ValueError("composite length must be >= 1")
     ids = rng.integers(0, POOL_SIZE, size=length).tolist()
     signs = rng.integers(0, 2, size=length).tolist()
-    return CompositeAugmentation(tuple(
-        BasicTransform(TransformId(i), magnitude, 2 * s - 1) for i, s in zip(ids, signs)))
+    return tuple(BasicTransform(TransformId(i), magnitude, 2 * s - 1)
+                 for i, s in zip(ids, signs))
 
 
-def composition_vector(aug: CompositeAugmentation) -> np.ndarray:
-    """14-entry count vector; entry i is the multiplicity of pool member i."""
-    ids = [int(t.id) for t in aug]
-    return np.bincount(ids, minlength=POOL_SIZE).astype(np.int64)
+def composition_vector(augs: Sequence[tuple[BasicTransform, ...]]) -> np.ndarray:
+    """(len(augs), POOL_SIZE) counts; entry [i, j] is the multiplicity of pool
+    member j in ``augs[i]``."""
+    rows = [i * POOL_SIZE + t.id for i, aug in enumerate(augs) for t in aug]
+    return np.bincount(rows, minlength=len(augs) * POOL_SIZE).reshape(len(augs), POOL_SIZE)
 
 
-def apply_composite(augs: Sequence[CompositeAugmentation], imgs: np.ndarray) -> np.ndarray:
+def apply_composite(augs: Sequence[tuple[BasicTransform, ...]],
+                    imgs: np.ndarray) -> np.ndarray:
     """Apply ``augs[i]`` to ``imgs[i]`` for an (N, H, W, C) batch.
 
     Chains run position by position: at each position every distinct basic
@@ -319,7 +305,7 @@ def apply_composite(augs: Sequence[CompositeAugmentation], imgs: np.ndarray) -> 
         groups: dict[tuple, tuple[BasicTransform, list[int]]] = {}
         for i, aug in enumerate(augs):
             if pos < len(aug):
-                t = aug.transforms[pos]
+                t = aug[pos]
                 key = (t.id, t.magnitude, t.sign if t.id in _SIGNED else 1)
                 groups.setdefault(key, (t, []))[1].append(i)
         for t, idx in groups.values():

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pmnn
 from ._util import ConfigError
-from .augment import (POOL_SIZE, CompositeAugmentation, apply_composite, composition_vector,
+from .augment import (POOL_SIZE, BasicTransform, apply_composite, composition_vector,
                       sample_composite)
 from .config import RunConfig
 from .data import Dataset, weak_augment
@@ -171,17 +171,15 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     n = imgs.shape[0]
     rngs = path_rngs([(cfg.seed, STREAM_VIEWS, step_tag, i, role)
                       for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
-    queries = weak_augment(imgs, itertools.islice(rngs, n))
-    keys = weak_augment(imgs, itertools.islice(rngs, n))
-    # rng.choice(cfg.lengths) draws its index as integers(0, len): same draws
-    comps = [sample_composite(cfg.lengths[rng.integers(0, len(cfg.lengths))],
-                              cfg.magnitude, rng) for rng in rngs]
+    # the paths are role-major: queries, then keys, from one pass
+    views = weak_augment(np.concatenate((imgs, imgs)), itertools.islice(rngs, 2 * n))
+    comps = [sample_composite(cfg.lengths, cfg.magnitude, rng) for rng in rngs]
     augmented = apply_composite(comps, imgs)
+    v = composition_vector(comps)
 
-    _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
-    x = np.concatenate([_flatten(queries), _flatten(imgs), _flatten(augmented), x_labeled])
-    return StepBatch(x=x, z_keys=z_keys, v=np.stack([composition_vector(c) for c in comps]),
-                     lengths=np.array([len(c) for c in comps], dtype=np.int64))
+    _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(views[n:]))
+    x = np.concatenate([_flatten(views[:n]), _flatten(imgs), _flatten(augmented), x_labeled])
+    return StepBatch(x=x, z_keys=z_keys, v=v, lengths=v.sum(axis=1))
 
 
 _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss_softplus}
@@ -348,19 +346,20 @@ def hypergradient_oracle(state: TrainState, info: StepInfo, x_labeled: np.ndarra
 
 
 def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predict,
-         probe_set: list[tuple[np.ndarray, CompositeAugmentation]]) -> float:
+         probe_set: list[tuple[np.ndarray, tuple[BasicTransform, ...]]]) -> float:
     """Mean absolute gap between measured deviations and the values of the
     reference predictor ``predict`` (composition vectors -> deviations) over
     a set of (image, composite) pairs."""
     if not probe_set:
         raise ValueError("empty probe set")
     imgs = np.stack([img for img, _ in probe_set])
-    augmented = apply_composite([comp for _, comp in probe_set], imgs)
+    comps = [comp for _, comp in probe_set]
+    augmented = apply_composite(comps, imgs)
     gaps = []
-    # one row per encode: a different row count can change BLAS rounding
-    for img, aug, (_, comp) in zip(imgs, augmented, probe_set):
+    # one row per encode and predict: a different row count can change BLAS rounding
+    for img, aug, v in zip(imgs, augmented, composition_vector(comps)):
         omega = latent_deviation(enc_cfg, theta_e, img, aug)
-        g = float(predict(composition_vector(comp)[None])[0])
+        g = float(predict(v[None])[0])
         gaps.append(abs(omega - g))
     return float(np.mean(gaps))
 
@@ -418,11 +417,7 @@ def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator) -> None:
 def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int):
     rng = make_rng(cfg.seed, STREAM_DACL, epoch)
     idx = rng.integers(0, images.shape[0], size=DACL_PROBE_SIZE)
-    out = []
-    for i in idx:
-        length = int(rng.choice(np.asarray(cfg.lengths)))
-        out.append((images[i], sample_composite(length, cfg.magnitude, rng)))
-    return out
+    return [(images[i], sample_composite(cfg.lengths, cfg.magnitude, rng)) for i in idx]
 
 
 def probe_accuracy(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,

@@ -140,7 +140,7 @@ def cmd_augment_preview(cfg: RunConfig, args) -> str:
         raise ConfigError(f"--length {args.length}: composite length must be >= 1")
     if not 0.0 <= args.magnitude <= 1.0:
         raise ConfigError(f"--magnitude {args.magnitude} outside [0, 1]")
-    comp = sample_composite(args.length, args.magnitude, make_rng(cfg.seed, 778))
+    comp = sample_composite((args.length,), args.magnitude, make_rng(cfg.seed, 778))
     dataset = synth_dataset(cfg.classes, 1, cfg.height, cfg.width, cfg.noise,
                             make_rng(cfg.seed, 777), channels=cfg.channels)
     img = dataset.images[args.sample % dataset.images.shape[0]][None]

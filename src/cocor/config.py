@@ -104,8 +104,10 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.alternation not in ALTERNATIONS:
             raise ConfigError(f"alternation must be one of {ALTERNATIONS}")
-        if not self.lengths or any(l < 1 or l > 8 for l in self.lengths):
-            raise ConfigError("lengths must be a non-empty subset of [1, 8]")
+        # a repeated length would be drawn more often than the others
+        if (not self.lengths or any(l < 1 or l > 8 for l in self.lengths)
+                or len(set(self.lengths)) < len(self.lengths)):
+            raise ConfigError("lengths must be a non-empty subset of [1, 8], without repeats")
         if not -1.0 <= self.const_deviation <= 1.0:
             raise ConfigError("const_deviation must lie in [-1, 1]")
         if self.seed < 0:

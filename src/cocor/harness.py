@@ -174,7 +174,9 @@ SUMMARY_FIELDS = ("epochs", "steps", "final_l_contrast", "final_l_consist",
 
 def write_summary_csv(path: str, state: bilevel.TrainState,
                       records: list[bilevel.MetricsRecord]) -> None:
-    """One-row run summary; the only place wall-clock time is persisted."""
+    """One-row run summary; the only place wall-clock time is persisted.
+    ``wall_clock_s`` is train's clock at the last epoch record, which starts
+    after the queue warm-up (0.0 without records)."""
     epoch_records = [r for r in records if r.record_type == "epoch"]
     totals = {"epochs": len(epoch_records), "steps": state.step,
               "guard_count": state.guard_count, "zero_norm_count": state.zero_norm_count,

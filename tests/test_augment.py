@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cocor.augment import (GEOMETRIC_FILL, POOL_SIZE, BasicTransform,
-                           CompositeAugmentation, TransformId, apply_basic,
-                           apply_composite, composition_vector, sample_composite)
+from cocor.augment import (GEOMETRIC_FILL, POOL_SIZE, BasicTransform, TransformId,
+                           apply_basic, apply_composite, composition_vector,
+                           sample_composite)
 from cocor.augment import _bilinear_plan
 from cocor.numcore import make_rng
 
@@ -195,17 +195,17 @@ class TestInvariants:
 class TestComposite:
     def test_sample_length_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_composite(0, 0.5, make_rng(1))
+            sample_composite((0,), 0.5, make_rng(1))
 
     def test_single_sample_one_hot_vector(self):
-        comp = sample_composite(1, 0.5, make_rng(10))
-        v = composition_vector(comp)
+        comp = sample_composite((1,), 0.5, make_rng(10))
+        v = composition_vector([comp])[0]
         assert v.sum() == 1
         assert (v >= 0).all() and v.max() == 1
 
     def test_fixed_seed_reproduces_composite(self):
-        a = sample_composite(4, 0.7, make_rng(11, 3))
-        b = sample_composite(4, 0.7, make_rng(11, 3))
+        a = sample_composite((4,), 0.7, make_rng(11, 3))
+        b = sample_composite((4,), 0.7, make_rng(11, 3))
         assert a == b
 
     def test_uniform_sampling_statistics(self):
@@ -213,18 +213,18 @@ class TestComposite:
         counts = np.zeros(POOL_SIZE)
         rng = make_rng(12)
         for _ in range(10_000):
-            comp = sample_composite(1, 0.5, rng)
-            counts[int(comp.transforms[0].id)] += 1
+            comp = sample_composite((1,), 0.5, rng)
+            counts[int(comp[0].id)] += 1
         freqs = counts / 10_000
         assert np.all(np.abs(freqs - 1.0 / POOL_SIZE) < 0.02)
 
     def test_composition_vector_counts(self):
-        comp = CompositeAugmentation((
+        comp = (
             BasicTransform(TransformId.ROTATE, 0.5),
             BasicTransform(TransformId.ROTATE, 0.5),
             BasicTransform(TransformId.SOLARIZE, 0.5),
-        ))
-        v = composition_vector(comp)
+        )
+        v = composition_vector([comp])[0]
         assert v[TransformId.ROTATE] == 2
         assert v[TransformId.SOLARIZE] == 1
         assert v.sum() == 3
@@ -232,29 +232,25 @@ class TestComposite:
     def test_composition_vector_order_invariant(self):
         t1 = BasicTransform(TransformId.SHEAR_X, 0.5)
         t2 = BasicTransform(TransformId.EQUALIZE, 0.5)
-        a = composition_vector(CompositeAugmentation((t1, t2)))
-        b = composition_vector(CompositeAugmentation((t2, t1)))
+        a = composition_vector([(t1, t2)])[0]
+        b = composition_vector([(t2, t1)])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_composition_vector_matches_scan_oracle(self):
-        comp = sample_composite(5, 0.5, make_rng(13))
-        v = composition_vector(comp)
+        comp = sample_composite((5,), 0.5, make_rng(13))
+        v = composition_vector([comp])[0]
         oracle = np.zeros(POOL_SIZE, dtype=np.int64)
         for t in comp:
             oracle[int(t.id)] += 1
         np.testing.assert_array_equal(v, oracle)
         assert v.sum() == 5
 
-    def test_empty_composite_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeAugmentation(())
-
     def test_two_identities_bit_identical(self):
         img = random_raster(14)
-        comp = CompositeAugmentation((
+        comp = (
             BasicTransform(TransformId.IDENTITY, 0.3),
             BasicTransform(TransformId.IDENTITY, 0.9),
-        ))
+        )
         np.testing.assert_array_equal(composite(comp, img), img)
 
     def test_composed_translations_add_away_from_fill(self):
@@ -262,7 +258,7 @@ class TestComposite:
         m2 = 2.0 / (0.3 * 16)   # rounds to +2 px
         m4 = 4.0 / (0.3 * 16)   # rounds to +4 px
         t2 = BasicTransform(TransformId.TRANSLATE_X, m2, sign=1)
-        twice = composite(CompositeAugmentation((t2, t2)), img)
+        twice = composite((t2, t2), img)
         once = basic(BasicTransform(TransformId.TRANSLATE_X, m4, sign=1), img)
         # away from the filled left margin the results agree exactly
         np.testing.assert_array_equal(twice[:, 4:, :], once[:, 4:, :])
@@ -271,7 +267,7 @@ class TestComposite:
         img = random_raster(16)
         rng = make_rng(17)
         for _ in range(20):
-            comp = sample_composite(int(rng.integers(1, 6)), 1.0, rng)
+            comp = sample_composite((int(rng.integers(1, 6)),), 1.0, rng)
             out = composite(comp, img)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -289,8 +285,7 @@ class TestBatched:
         # both signs of every transform in one batch, interleaved
         imgs = make_rng(64, channels).uniform(0.0, 1.0, size=(4, 7, 9, channels))
         for tid in ALL_IDS:
-            comps = [CompositeAugmentation((BasicTransform(tid, 0.7, sign),))
-                     for sign in (1, -1, -1, 1)]
+            comps = [(BasicTransform(tid, 0.7, sign),) for sign in (1, -1, -1, 1)]
             batched = apply_composite(comps, imgs)
             for i, (comp, img) in enumerate(zip(comps, imgs)):
                 np.testing.assert_array_equal(batched[i], composite(comp, img),
@@ -298,14 +293,14 @@ class TestBatched:
 
     def test_mixed_chains_equal_batches_of_one(self):
         rng = make_rng(65)
-        comps = [sample_composite(int(rng.integers(1, 6)), 0.6, rng) for _ in range(12)]
+        comps = [sample_composite((int(rng.integers(1, 6)),), 0.6, rng) for _ in range(12)]
         imgs = make_rng(66).uniform(0.0, 1.0, size=(12, 9, 7, 3))
         batched = apply_composite(comps, imgs)
         for i, (comp, img) in enumerate(zip(comps, imgs)):
             np.testing.assert_array_equal(batched[i], composite(comp, img))
 
     def test_composite_count_must_match_batch(self):
-        comp = CompositeAugmentation((BasicTransform(TransformId.IDENTITY),))
+        comp = (BasicTransform(TransformId.IDENTITY),)
         with pytest.raises(ValueError):
             apply_composite([comp], np.zeros((2, 4, 4, 1)))
 
@@ -318,10 +313,10 @@ class TestBatched:
             for tid in ALL_IDS:
                 for sign in (-1, 1):
                     for mag in (0.5, 0.9):
-                        comp = CompositeAugmentation((BasicTransform(tid, mag, sign),))
+                        comp = (BasicTransform(tid, mag, sign),)
                         outs.append(apply_composite([comp] * 3, imgs))
             rng = make_rng(62, c)
-            comps = [sample_composite(int(rng.integers(1, 5)), 0.7, rng) for _ in range(6)]
+            comps = [sample_composite((int(rng.integers(1, 5)),), 0.7, rng) for _ in range(6)]
             outs.append(apply_composite(comps, make_rng(63, c).uniform(0.0, 1.0,
                                                                        size=(6, 7, 9, c))))
         assert _sha256(*outs) == (

@@ -322,7 +322,7 @@ class TestDacl:
         cfg, state, imgs, _, _ = tiny_instance(seed)
         rng = make_rng(seed, 83)
         from cocor.augment import sample_composite
-        probe_set = [(imgs[i % imgs.shape[0]], sample_composite(1, 0.5, rng))
+        probe_set = [(imgs[i % imgs.shape[0]], sample_composite((1,), 0.5, rng))
                      for i in range(6)]
         return state, probe_set
 
@@ -445,12 +445,12 @@ class TestBuildStepBatch:
             one = imgs[i:i + 1]
             query = weak_augment(one, [make_rng(*path, ROLE_QUERY)])
             rng = make_rng(*path, ROLE_COMPOSITE)
-            comp = sample_composite(int(rng.choice(np.asarray(cfg.lengths))),
+            comp = sample_composite((int(rng.choice(np.asarray(cfg.lengths))),),
                                     cfg.magnitude, rng)
             np.testing.assert_array_equal(b.x[i], query.reshape(-1))
             np.testing.assert_array_equal(b.x[a + i],
                                           apply_composite([comp], one).reshape(-1))
-            np.testing.assert_array_equal(b.v[i], composition_vector(comp))
+            np.testing.assert_array_equal(b.v[i], composition_vector([comp])[0])
             assert b.lengths[i] == len(comp)
 
 

@@ -256,13 +256,15 @@ class TestPretrain:
         ("classes = many\n", [], "classes"),
         ("use_pmnn = maybe\n", [], "use_pmnn"),
         ("", ["--lengths", "1,two"], "lengths"),
+        ("", ["--lengths", "2,2"], "lengths"),
         ("classes 3\n", [], "classes 3"),
         ("# r\u00e9glage\n", [], "bad.cfg: not UTF-8 text"),
     ], ids=["dataset", "idx-paths", "classes", "per_class", "height", "width", "channels",
             "noise", "labeled_frac", "hidden", "batch_size", "epochs", "queue", "eta_e",
             "magnitude", "momentum_coef", "sgd_momentum", "weight_decay", "variant",
             "alternation", "lengths", "const_deviation", "seed", "unparsable-int",
-            "unparsable-bool", "unparsable-flag", "missing-equals", "latin-1"])
+            "unparsable-bool", "unparsable-flag", "repeated-length", "missing-equals",
+            "latin-1"])
     def test_rejected_config_exits_one_naming_key(self, tmp_path, capsys, extra, flags, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes((TINY_CFG + extra).encode("latin-1"))
@@ -440,6 +442,15 @@ class TestOtherCommands:
         assert "after_identity.pgm" in files
         assert "after_composite.pgm" in files
         assert sum(1 for f in files if f.startswith("after_")) == 15
+        # the composite drawn from seed 0 and one transform's raster, recorded
+        # when composites were still wrapped in a class; pixel math only, no BLAS
+        digests = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                   for name in ("after_composite.pgm", "after_rotate.pgm")}
+        assert digests == {
+            "after_composite.pgm":
+                "fee23317b19eb55b975255bbfe01bff9c69b8e03bd54f5869fd5d82758b1a942",
+            "after_rotate.pgm":
+                "1d4bfa706450d9a6f552262c208aad2ae427c49a32c5db8b0db584d62294dec9"}
 
     def test_unknown_flag_is_validation_error(self):
         assert main(["pretrain", "--bogus-flag", "1"]) == 1

@@ -3,13 +3,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocor.augment import (BasicTransform, CompositeAugmentation, TransformId,
-                           apply_composite, sample_composite)
+from cocor.augment import BasicTransform, TransformId, apply_composite, sample_composite
+from cocor.bilevel import encoder_config
+from cocor.config import parse_config_text
 from cocor.encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
                            features_backward, init_encoder_params, latent_deviation,
                            load_checkpoint, momentum_update, save_checkpoint)
 from cocor.gradsuite import check_cross_entropy_encoder
 from cocor.numcore import ParamSet, grad_check, make_rng
+from test_acceptance import TREND_CONFIG
+from test_cli import DETERMINISM_CFG, TINY_CFG
 
 CFG = EncoderConfig(input_dim=12, hidden=(10, 8), proj_hidden=6, embed_dim=4)
 
@@ -95,13 +98,36 @@ class TestEncode:
         assert grads.names() == params.names()
 
 
+class TestRowBlocks:
+    """A training step encodes 4b stacked rows: query, raw, augmented and
+    labeled, b each. Batching changes that split the pass (a 3b-row pass over
+    the unsupervised rows, a features-only pass over the labeled rows) are
+    byte-identical only if a block of the pass gives the pass's own rows. This
+    states that for the BLAS in use, at each pinned config's widths."""
+
+    @pytest.mark.parametrize("which", ["trend", "determinism", "tiny"])
+    def test_blocks_equal_the_stacked_pass(self, which):
+        cfg = {"trend": TREND_CONFIG, "determinism": parse_config_text(DETERMINISM_CFG),
+               "tiny": parse_config_text(TINY_CFG)}[which]
+        enc_cfg, b = encoder_config(cfg), cfg.batch_size
+        params = init_encoder_params(enc_cfg, make_rng(cfg.seed, 1))
+        x = make_rng(cfg.seed, 80).uniform(0, 1, size=(4 * b, enc_cfg.input_dim))
+        features, z, _ = encode_batch(enc_cfg, params, x)
+        for start, stop in ((0, 3 * b), (0, b), (3 * b, 4 * b)):
+            block_features, block_z, _ = encode_batch(enc_cfg, params, x[start:stop])
+            assert block_features.tobytes() == features[start:stop].tobytes()
+            assert block_z.tobytes() == z[start:stop].tobytes()
+            assert (encode_features(enc_cfg, params, x[start:stop])[0].tobytes()
+                    == features[start:stop].tobytes())
+
+
 def augmented(img, comp):
     return apply_composite([comp], img[None])[0]
 
 
 class TestLatentDeviation:
     def test_identity_composite_gives_one(self):
-        comp = CompositeAugmentation((BasicTransform(TransformId.IDENTITY, 0.5),))
+        comp = (BasicTransform(TransformId.IDENTITY, 0.5),)
         img = raster_for(14)
         dev = latent_deviation(CFG, params_for(13), img, augmented(img, comp))
         assert abs(dev - 1.0) < 1e-9
@@ -114,7 +140,7 @@ class TestLatentDeviation:
     def test_matches_two_independent_encodes(self):
         params = params_for(16)
         img = raster_for(17)
-        comp = CompositeAugmentation((BasicTransform(TransformId.ROTATE, 0.6, 1),))
+        comp = (BasicTransform(TransformId.ROTATE, 0.6, 1),)
         aug = augmented(img, comp)
         dev = latent_deviation(CFG, params, img, aug)
         _, z_raw, _ = encode_batch(CFG, params, img.reshape(1, -1))
@@ -126,7 +152,7 @@ class TestLatentDeviation:
         params = params_for(19)
         for trial in range(20):
             comp_len = int(rng.integers(1, 5))
-            comp = sample_composite(comp_len, 1.0, rng)
+            comp = sample_composite((comp_len,), 1.0, rng)
             img = raster_for(20 + trial)
             dev = latent_deviation(CFG, params, img, augmented(img, comp))
             assert -1.0 - 1e-12 <= dev <= 1.0 + 1e-12

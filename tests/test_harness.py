@@ -163,6 +163,14 @@ class TestWeakAugment:
             assert out.min() >= 0.0 and out.max() <= 1.0
             assert out.shape == (1, *img.shape)
 
+    def test_stacked_batches_equal_separate_calls(self):
+        # one call over two batches draws each raster from its own generator
+        imgs = make_rng(12, 101).uniform(0, 1, size=(3, 6, 6, 3))
+        first = weak_augment(imgs, [make_rng(13, i) for i in range(3)])
+        second = weak_augment(imgs, [make_rng(13, i) for i in range(3, 6)])
+        both = weak_augment(np.concatenate((imgs, imgs)), [make_rng(13, i) for i in range(6)])
+        assert both.tobytes() == np.concatenate((first, second)).tobytes()
+
 
 SMALL = dict(classes=3, per_class=16, height=6, width=6, channels=1, noise=0.1,
              hidden=(10, 8), proj_hidden=8, embed_dim=4, pmnn_hidden=8,

@@ -319,21 +319,21 @@ def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> BilevelS
                           scalar=scalar, guard_triggered=guard)
 
 
-def hypergradient_oracle(state: TrainState, info: StepInfo, x_labeled: np.ndarray,
-                         labels: np.ndarray, theta_start: ParamSet,
-                         lr: float) -> tuple[ParamSet, float, ParamSet]:
+def hypergradient_oracle(state: TrainState, info: StepInfo, labels: np.ndarray,
+                         theta_start: ParamSet, lr: float) -> tuple[ParamSet, float, ParamSet]:
     """Exact first-order chain-rule hypergradient, independent of the scalar
     formula: eta_e * sigma'(k) * (grad CE(theta') . grad simi(theta)) * dE[g]/d(theta_d).
 
-    theta_start and lr are the encoder parameters and the learning rate the
-    step behind ``info`` started from. Returns (oracle gradient, its scalar
+    ``labels`` belong to the labeled rows of ``info.batch``; theta_start and
+    lr are the encoder parameters and the learning rate the step behind
+    ``info`` started from. Returns (oracle gradient, its scalar
     multiplier, dE[g]/d(theta_d)).
     """
     enc_cfg = state.enc_cfg
-    _, grad_ce = probe_ce(enc_cfg, state.theta_e, state.probe, x_labeled,
+    r, a, lab = info.batch.starts()
+    _, grad_ce = probe_ce(enc_cfg, state.theta_e, state.probe, info.batch.x[lab:],
                           labels, want_encoder_grad=True)
     # grad of the batch-mean raw/augmented similarity at theta_start
-    r, a, lab = info.batch.starts()
     _, z, cache = encode_batch(enc_cfg, theta_start, info.batch.x[r:lab])
     n = a - r
     grad_simi = encode_backward(enc_cfg, theta_start, cache.rows(0, n), d_z=z[n:] / n)
@@ -392,16 +392,15 @@ def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
 
 
 def warm_up_queue(state: TrainState, cfg: RunConfig, images: np.ndarray) -> None:
-    """Fill the queue with momentum-encoder keys; no losses, no updates."""
-    n_batches = math.ceil(cfg.queue_capacity / cfg.batch_size)
+    """Fill the queue with momentum-encoder keys in one push; no losses, no updates."""
     n = images.shape[0]
-    for w in range(n_batches):
-        rng = make_rng(cfg.seed, STREAM_WARMUP, w)
-        idx = rng.integers(0, n, size=cfg.batch_size)
+    z_keys = []
+    for w in range(math.ceil(cfg.queue_capacity / cfg.batch_size)):
+        idx = make_rng(cfg.seed, STREAM_WARMUP, w).integers(0, n, size=cfg.batch_size)
         keys = weak_augment(images[idx], path_rngs(
             [(cfg.seed, STREAM_WARMUP, w, j, ROLE_KEY) for j in range(idx.size)]))
-        _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))
-        state.queue.push(z_keys)
+        z_keys.append(encode_batch(state.enc_cfg, state.theta_k, _flatten(keys))[1])
+    state.queue.push(np.concatenate(z_keys))
 
 
 def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator) -> None:

@@ -237,6 +237,8 @@ def load_checkpoint(path: str) -> ParamSet:
         (ndim,) = cur.u32()
         shape = cur.u32(ndim)
         segments[name] = np.frombuffer(cur.grab(8 * math.prod(shape)), "<f8").reshape(shape)
+        if not np.isfinite(segments[name]).all():
+            raise ConfigError(f"{path}: non-finite values in segment {name!r}")
     if cur.pos != len(cur.data):
         raise ConfigError(f"{path}: trailing bytes after last segment")
     return ParamSet(segments)

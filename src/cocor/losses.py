@@ -18,17 +18,19 @@ UNIT_NORM_TOL = 1e-6
 
 
 class NegativeQueue:
-    """Fixed-capacity FIFO of unit-norm embeddings backed by a ring buffer."""
+    """Fixed-capacity FIFO of unit-norm embeddings, held as one read-only
+    array of its rows, oldest first, that each push replaces."""
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1 or dim < 1:
             raise ValueError("capacity and dim must be >= 1")
         self.capacity = capacity
         self.dim = dim
-        self._buf = np.zeros((capacity, dim))
-        self._ptr = 0
-        self.fill = 0
-        self._snapshot: np.ndarray | None = None
+        self._rows = np.zeros((0, dim))
+
+    @property
+    def fill(self) -> int:
+        return self._rows.shape[0]
 
     def push(self, embeddings: np.ndarray) -> None:
         """Append rows, evicting the oldest entries past capacity."""
@@ -39,25 +41,14 @@ class NegativeQueue:
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"queue admits unit-norm embeddings only (off by {worst:.2e})")
-        n = embeddings.shape[0]
-        # only the last `capacity` rows survive; row j lands at (ptr + j) % capacity
-        kept = embeddings[max(0, n - self.capacity):]
-        start = (self._ptr + n - kept.shape[0]) % self.capacity
-        head = min(kept.shape[0], self.capacity - start)
-        self._buf[start:start + head] = kept[:head]
-        self._buf[:kept.shape[0] - head] = kept[head:]
-        self._ptr = (self._ptr + n) % self.capacity
-        self.fill = min(self.fill + n, self.capacity)
-        self._snapshot = None
+        # a new array: one handed out by as_matrix is never written
+        self._rows = np.concatenate((self._rows, embeddings))[-self.capacity:]
+        self._rows.flags.writeable = False
 
     def as_matrix(self) -> np.ndarray:
         """Current contents, oldest first, shape (fill, dim): one read-only
-        snapshot, shared by every call until the next push."""
-        if self._snapshot is None:
-            # np.roll copies; below capacity the pointer equals fill, a whole turn
-            self._snapshot = np.roll(self._buf[:self.fill], -self._ptr, axis=0)
-            self._snapshot.flags.writeable = False
-        return self._snapshot
+        array, shared by every call until the next push."""
+        return self._rows
 
 
 def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,

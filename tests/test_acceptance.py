@@ -159,7 +159,7 @@ def test_criterion_4_hypergradient_fidelity():
         except ValueError:
             continue  # degenerate dead-projection init on a tiny net
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, x_lab, y_lab, theta_before, lr)
+            state, info, y_lab, theta_before, lr)
         scalars = pmnn_step(state, y_lab, info)
         if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
             continue

@@ -12,12 +12,13 @@ from cocor.augment import apply_composite, composition_vector, sample_composite
 from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch, dacl,
                            deviation_gap_coefficient, encoder_step,
                            hypergradient_oracle, init_train_state, pmnn_step,
-                           probe_ce, probe_step, train, unsup_eval)
+                           probe_ce, probe_step, train, unsup_eval, warm_up_queue)
 from cocor.config import RunConfig
 from cocor.data import synth_dataset, weak_augment
 from cocor.encoder import EncoderConfig, encode_batch
+from cocor.losses import NegativeQueue
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid
-from test_acceptance import _fidelity_instance
+from test_acceptance import TREND_CONFIG, _fidelity_instance
 
 TINY = dict(classes=3, per_class=8, height=6, width=6, channels=1, noise=0.1,
             hidden=(10, 8), proj_hidden=8, embed_dim=4, pmnn_hidden=8,
@@ -75,7 +76,7 @@ class TestEncoderStep:
 
     def test_requires_nonempty_queue(self):
         cfg, state, imgs, x_lab, _ = tiny_instance(2)
-        state.queue.fill = 0
+        state.queue = NegativeQueue(cfg.queue_capacity, cfg.embed_dim)
         with pytest.raises(RuntimeError):
             encoder_step(state, cfg, imgs, x_lab, step_tag=0)
 
@@ -285,7 +286,7 @@ class TestOracle:
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
         info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, x_lab, y_lab, theta_before, lr)
+            state, info, y_lab, theta_before, lr)
         np.testing.assert_allclose(oracle_grad.flat,
                                    oracle_scalar * grad_g.flat, atol=1e-15)
 
@@ -307,7 +308,7 @@ class TestOracle:
                 h.update(b"degenerate")
                 continue
             oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-                state, info, x_lab, y_lab, theta_before, lr)
+                state, info, y_lab, theta_before, lr)
             s = pmnn_step(state, y_lab, info)
             for a in (oracle_grad.flat, np.float64(oracle_scalar), grad_g.flat,
                       np.array([s.ce_before, s.ce_after, s.coefficient, s.scalar,
@@ -452,6 +453,47 @@ class TestBuildStepBatch:
                                           apply_composite([comp], one).reshape(-1))
             np.testing.assert_array_equal(b.v[i], composition_vector([comp])[0])
             assert b.lengths[i] == len(comp)
+
+
+class TestWarmUp:
+    # sha256 of the queue after warm_up_queue, recorded while warm-up pushed
+    # one batch of keys at a time (numpy 2.4, OpenBLAS, x86-64): TREND's
+    # queue 256 at batch 64, and criterion 8's config with a queue of 20,
+    # which is not a multiple of its batch of 8
+    CRIT8 = RunConfig(classes=4, per_class=24, height=8, width=8, noise=0.15,
+                      hidden=(32, 16), proj_hidden=12, embed_dim=8, pmnn_hidden=8,
+                      queue_capacity=20, batch_size=8, epochs=3, eval_epochs=10, seed=11)
+    RECORDED = {
+        "trend": ((256, 32), "4117a83f99ecbc83766898f10bd886d8ec666a5357022078f7543403c884a867"),
+        "crit8-queue20": ((20, 8),
+                          "44b0106feff49d7ba870250c6805cd3e31af1c368af9a5ad8e17ef0049b940cf"),
+    }
+
+    @staticmethod
+    def _warm(cfg):
+        state = init_train_state(cfg, bilevel.encoder_config(cfg), total_steps=1)
+        warm_up_queue(state, cfg, harness.build_dataset(cfg).split_images("unlabeled_train"))
+        return state.queue
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_queue_matches_recorded_digest(self, name):
+        cfg = TREND_CONFIG if name == "trend" else self.CRIT8
+        rows = self._warm(cfg).as_matrix()
+        shape, digest = self.RECORDED[name]
+        assert rows.shape == shape
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_pushes_once(self, monkeypatch):
+        pushes = []
+        real = NegativeQueue.push
+
+        def counted(queue, rows):
+            pushes.append(len(rows))
+            real(queue, rows)
+
+        monkeypatch.setattr(NegativeQueue, "push", counted)
+        assert self._warm(self.CRIT8).fill == 20
+        assert pushes == [24]  # three batches of 8, one push
 
 
 class TestTrain:

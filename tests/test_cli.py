@@ -504,7 +504,9 @@ class TestOtherCommands:
         ("encoder", {"encoder.bb9.w": np.ones((8, 8))}, 1,
          "segment 'encoder.bb9.w' is not part of the configured encoder"),
         ("encoder", {}, 2, "unsupported checkpoint version 2"),
-    ], ids=["no-encoder", "extra-encoder", "version-2"])
+        ("encoder", {"encoder.bb0.w": np.full((36, 10), np.nan)}, 1,
+         "non-finite values in segment 'encoder.bb0.w'"),
+    ], ids=["no-encoder", "extra-encoder", "version-2", "non-finite"])
     def test_rejected_checkpoint_exits_one_and_leaves_no_output(self, tiny_config, tmp_path,
                                                                 capsys, prefix, extra,
                                                                 version, reason):

@@ -90,6 +90,20 @@ class TestQueue:
         q.push(batch)
         np.testing.assert_array_equal(q.as_matrix(), batch[-3:])
 
+    @pytest.mark.parametrize("capacity, batches", [(5, 1), (5, 2), (6, 3), (5, 3), (5, 4)],
+                             ids=["below", "just-below", "at", "over", "twice-over"])
+    def test_one_stacked_push_equals_pushing_each_batch(self, capacity, batches):
+        # batches of 2 rows; capacity 5 is not a multiple of the batch
+        rng = make_rng(34)
+        parts = [unit_rows(rng, 2, 3) for _ in range(batches)]
+        one = NegativeQueue(capacity=capacity, dim=3)
+        each = NegativeQueue(capacity=capacity, dim=3)
+        one.push(np.concatenate(parts))
+        for part in parts:
+            each.push(part)
+        assert one.fill == each.fill == min(2 * batches, capacity)
+        assert one.as_matrix().tobytes() == each.as_matrix().tobytes()
+
 
 class TestContrastive:
     def test_equal_logits_single_negative_is_ln2(self):

@@ -11,8 +11,8 @@ from .bilevel import (BilevelScalars, MetricsRecord, TrainState, dacl,
                       pmnn_step, probe_step, train)
 from .config import ConfigError, RunConfig, load_config
 from .data import Dataset, load_idx, synth_dataset, weak_augment, write_idx
-from .encoder import (EncoderConfig, encode_batch, init_encoder_params, latent_deviation,
-                      load_checkpoint, momentum_update, save_checkpoint)
+from .encoder import (EncoderConfig, encode_batch, init_encoder_params, load_checkpoint,
+                      momentum_update, save_checkpoint)
 from .harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)

@@ -36,8 +36,7 @@ from .augment import (POOL_SIZE, BasicTransform, apply_composite, composition_ve
 from .config import RunConfig
 from .data import Dataset, weak_augment
 from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
-                      features_backward, init_encoder_params, latent_deviation,
-                      momentum_update)
+                      features_backward, init_encoder_params, momentum_update)
 from .losses import (NegativeQueue, consistency_loss_abs, consistency_loss_softplus,
                      contrastive_loss, cross_entropy)
 from .numcore import ParamSet, SgdState, make_rng, mean, path_rngs, sgd_step
@@ -345,23 +344,19 @@ def hypergradient_oracle(state: TrainState, info: StepInfo, labels: np.ndarray,
     return grad_g.scale(scalar), scalar, grad_g
 
 
-def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predict,
-         probe_set: list[tuple[np.ndarray, tuple[BasicTransform, ...]]]) -> float:
-    """Mean absolute gap between measured deviations and the values of the
-    reference predictor ``predict`` (composition vectors -> deviations) over
-    a set of (image, composite) pairs."""
-    if not probe_set:
+def dacl(enc_cfg: EncoderConfig, theta_e: ParamSet, predict, imgs: np.ndarray,
+         comps: list[tuple[BasicTransform, ...]]) -> float:
+    """Mean absolute gap between the measured deviations of rasters ``imgs``
+    under composites ``comps`` and the values of the reference predictor
+    ``predict`` (composition vectors -> deviations). One forward pass covers
+    the raw rows, then their augmented views, as in ``unsup_eval``."""
+    if not comps:
         raise ValueError("empty probe set")
-    imgs = np.stack([img for img, _ in probe_set])
-    comps = [comp for _, comp in probe_set]
-    augmented = apply_composite(comps, imgs)
-    gaps = []
-    # one row per encode and predict: a different row count can change BLAS rounding
-    for img, aug, v in zip(imgs, augmented, composition_vector(comps)):
-        omega = latent_deviation(enc_cfg, theta_e, img, aug)
-        g = float(predict(v[None])[0])
-        gaps.append(abs(omega - g))
-    return float(np.mean(gaps))
+    x = np.concatenate([_flatten(imgs), _flatten(apply_composite(comps, imgs))])
+    _, z, _ = encode_batch(enc_cfg, theta_e, x)
+    n = len(comps)
+    omega = np.add.reduce(z[:n] * z[n:], axis=1)   # as np.sum
+    return float(np.mean(np.abs(omega - predict(composition_vector(comps)))))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +408,12 @@ def _check_monotonic(theta_d: ParamSet, rng: np.random.Generator) -> None:
         raise AssertionError("deviation predictor lost monotonicity")
 
 
-def _dacl_probe_set(cfg: RunConfig, images: np.ndarray, epoch: int):
+def _dacl_probe_set(cfg: RunConfig, images: np.ndarray,
+                    epoch: int) -> tuple[np.ndarray, list[tuple[BasicTransform, ...]]]:
+    """An epoch's DACL rasters and one composite each, drawn from one stream."""
     rng = make_rng(cfg.seed, STREAM_DACL, epoch)
     idx = rng.integers(0, images.shape[0], size=DACL_PROBE_SIZE)
-    return [(images[i], sample_composite(cfg.lengths, cfg.magnitude, rng)) for i in idx]
+    return images[idx], [sample_composite(cfg.lengths, cfg.magnitude, rng) for _ in idx]
 
 
 def probe_accuracy(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
@@ -498,7 +495,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         acc = probe_accuracy(enc_cfg, state.theta_e, state.probe, labeled_x_all,
                              labeled_y_all)
         dacl_val = dacl(enc_cfg, state.theta_e, state.predict,
-                        _dacl_probe_set(cfg, unlabeled, epoch))
+                        *_dacl_probe_set(cfg, unlabeled, epoch))
         # a loss averages over the epoch's steps, k_l over the steps that drew length l
         rows = metrics[-steps_per_epoch:]
         lengths = sorted({k for r in rows for k in r.k_by_length})

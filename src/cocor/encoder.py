@@ -6,8 +6,7 @@ hypersphere: one ``numcore`` layer stack, named by ``layer_dims``, and its backw
 turns a cotangent on them into backbone gradients. ``encode_batch`` runs the
 head layers on them and returns the features and L2-normalized embeddings;
 ``encode_backward`` turns a cotangent on the embeddings into parameter
-gradients. The latent deviation of an augmented view is the cosine
-similarity between the embeddings of the raw image and the augmented image.
+gradients.
 
 Checkpoints are a little-endian binary container: magic ``CCOR``, version u32,
 segment count u32; then per segment a u32 name length, UTF-8 name, u32 ndim,
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ConfigError, atomic_write_bytes, read_input
-from .numcore import RELU, ParamSet, glorot_uniform, mlp_backward, mlp_forward
+from .numcore import RELU, ParamSet, mlp_backward, mlp_forward
 
 NORM_EPS = 1e-12
 
@@ -68,7 +67,8 @@ class EncoderConfig:
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> ParamSet:
     segments = {}
     for name, fan_in, fan_out in cfg.layer_dims():
-        segments[f"{name}.w"] = glorot_uniform(rng, fan_in, fan_out, (fan_in, fan_out))
+        bound = math.sqrt(6.0 / (fan_in + fan_out))     # Glorot uniform
+        segments[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         segments[f"{name}.b"] = np.zeros(fan_out)
     return ParamSet(segments)
 
@@ -122,8 +122,9 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, EncodeCache]:
     """Forward a (B, input_dim) batch; returns (features, z, cache).
 
-    z rows are unit-norm; rows whose raw projection norm underflows the
-    epsilon guard are flagged in cache.zero_norm.
+    z rows are unit-norm. A row whose raw projection norm is below NORM_EPS
+    is flagged in cache.zero_norm and embeds as e_0, the first basis vector;
+    ``encode_backward`` passes it no gradient.
     """
     features, backbone_cache = encode_features(cfg, params, x)
     proj, head_cache = mlp_forward(_stack(cfg, params, start=len(cfg.hidden)), features)
@@ -131,8 +132,11 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
     raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=1))  # np.linalg.norm's own sum
     norms = np.maximum(raw_norms, NORM_EPS)
     z = proj / norms[:, None]
+    zero_norm = raw_norms < NORM_EPS
+    if np.count_nonzero(zero_norm):
+        z[zero_norm] = np.eye(1, z.shape[1])
     cache = EncodeCache(layers=backbone_cache + head_cache, norms=norms, z=z,
-                        zero_norm=raw_norms < NORM_EPS)
+                        zero_norm=zero_norm)
     return features, z, cache
 
 
@@ -159,17 +163,8 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
     z, norms = cache.z, cache.norms
     inner = np.sum(z * d_z, axis=1, keepdims=True)
     d_proj = (d_z - z * inner) / norms[:, None]
+    d_proj[cache.zero_norm] = 0.0      # a flagged row's z is the constant e_0
     return features_backward(cfg, params, cache.layers, d_proj, out=out)
-
-
-def latent_deviation(cfg: EncoderConfig, params: ParamSet, img: np.ndarray,
-                     augmented: np.ndarray) -> float:
-    """Cosine similarity between the embeddings of a raster and its augmented
-    view; in [-1, 1] since both are unit vectors. Each raster is encoded as a
-    batch of one row, so the value does not depend on any batch around it."""
-    _, z_raw, _ = encode_batch(cfg, params, np.reshape(img, (1, -1)))
-    _, z_aug, _ = encode_batch(cfg, params, np.reshape(augmented, (1, -1)))
-    return float(np.sum(z_raw * z_aug))
 
 
 def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> ParamSet:

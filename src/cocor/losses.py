@@ -1,7 +1,8 @@
 """Training losses and the negative-embedding queue.
 
 The contrastive loss scores each query against its positive key and every
-queue entry with temperature-scaled cosine logits; queue entries are
+queue entry with temperature-scaled cosine logits and takes their
+``cross_entropy`` with the positive as the true class; queue entries are
 constants (no gradient flows into them). Two consistency variants exist:
 a per-sample mean absolute gap, and a per-length softplus of the batch-mean
 gap, which backs off smoothly when measured deviations already sit below the
@@ -69,23 +70,13 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
         raise ValueError("query and positive batches must have equal shapes")
     negs = queue.as_matrix()
 
-    b = z.shape[0]
     pos_logits = np.add.reduce(z * z_pos, axis=1) / tau     # (B,), as np.sum
     neg_logits = (z @ negs.T) / tau                          # (B, N)
     logits = np.concatenate([pos_logits[:, None], neg_logits], axis=1)
-
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    # only the positive column of the log-softmax is read
-    loss = mean(-(shifted[:, 0] - np.log(denom[:, 0])))
+    # every row's true class is its positive, column 0
+    loss, d_logits = cross_entropy(logits, np.zeros(z.shape[0], dtype=np.int64), want_grad)
     if not want_grad:
         return loss, None
-
-    d_logits = exp / denom
-    d_logits[:, 0] -= 1.0
-    d_logits /= b
-
     d_z = (d_logits[:, :1] * z_pos + d_logits[:, 1:] @ negs) / tau
     return loss, d_z
 
@@ -151,7 +142,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray,
     b, c = logits.shape
     if labels.shape != (b,):
         raise ValueError(f"labels shape {labels.shape} != ({b},)")
-    if (labels < 0).any() or (labels >= c).any():
+    if np.count_nonzero((labels < 0) | (labels >= c)):
         raise ValueError(f"labels must lie in [0, {c})")
     rows = np.arange(b)
     labels = labels.astype(np.int64)

@@ -128,12 +128,6 @@ def path_rngs(paths):
         yield gen
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...]) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 # ---------------------------------------------------------------------------
 # Parameter sets
 

@@ -3,12 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocor.augment import BasicTransform, TransformId, apply_composite, sample_composite
 from cocor.bilevel import encoder_config
 from cocor.config import parse_config_text
 from cocor.encoder import (EncoderConfig, encode_backward, encode_batch, encode_features,
-                           features_backward, init_encoder_params, latent_deviation,
-                           load_checkpoint, momentum_update, save_checkpoint)
+                           features_backward, init_encoder_params, load_checkpoint,
+                           momentum_update, save_checkpoint)
 from cocor.gradsuite import check_cross_entropy_encoder
 from cocor.numcore import ParamSet, grad_check, make_rng
 from test_acceptance import TREND_CONFIG
@@ -19,10 +18,6 @@ CFG = EncoderConfig(input_dim=12, hidden=(10, 8), proj_hidden=6, embed_dim=4)
 
 def params_for(seed):
     return init_encoder_params(CFG, make_rng(seed, 70))
-
-
-def raster_for(seed, h=3, w=4, c=1):
-    return make_rng(seed, 71).uniform(0, 1, size=(h, w, c))
 
 
 class TestEncode:
@@ -81,6 +76,21 @@ class TestEncode:
         assert np.count_nonzero(cache.zero_norm) == 2
         assert np.all(np.isfinite(z))
 
+    def test_zero_norm_row_embeds_as_e0_and_passes_no_gradient(self):
+        # every bias starts at zero, so an all-zero input row projects to 0
+        params = params_for(10)
+        x = make_rng(11, 72).uniform(0, 1, size=(3, 12))
+        x[1] = 0.0
+        _, z, cache = encode_batch(CFG, params, x)
+        assert cache.zero_norm.tolist() == [False, True, False]
+        np.testing.assert_array_equal(z[1], np.eye(1, 4)[0])
+        d_z = make_rng(12, 72).standard_normal((3, 4))
+        grads = encode_backward(CFG, params, cache, d_z=d_z)
+        _, _, live = encode_batch(CFG, params, x[[0, 2]])
+        np.testing.assert_allclose(
+            grads.flat, encode_backward(CFG, params, live, d_z=d_z[[0, 2]]).flat,
+            rtol=1e-12, atol=1e-15)
+
     def test_deterministic(self):
         params = params_for(11)
         x = make_rng(12, 76).uniform(0, 1, size=(3, 12))
@@ -119,43 +129,6 @@ class TestRowBlocks:
             assert block_z.tobytes() == z[start:stop].tobytes()
             assert (encode_features(enc_cfg, params, x[start:stop])[0].tobytes()
                     == features[start:stop].tobytes())
-
-
-def augmented(img, comp):
-    return apply_composite([comp], img[None])[0]
-
-
-class TestLatentDeviation:
-    def test_identity_composite_gives_one(self):
-        comp = (BasicTransform(TransformId.IDENTITY, 0.5),)
-        img = raster_for(14)
-        dev = latent_deviation(CFG, params_for(13), img, augmented(img, comp))
-        assert abs(dev - 1.0) < 1e-9
-
-    def test_antipodal_embeddings_give_minus_one(self):
-        z = make_rng(15, 77).standard_normal(4)
-        z /= np.linalg.norm(z)
-        assert abs(float(z @ (-z)) - (-1.0)) < 1e-12
-
-    def test_matches_two_independent_encodes(self):
-        params = params_for(16)
-        img = raster_for(17)
-        comp = (BasicTransform(TransformId.ROTATE, 0.6, 1),)
-        aug = augmented(img, comp)
-        dev = latent_deviation(CFG, params, img, aug)
-        _, z_raw, _ = encode_batch(CFG, params, img.reshape(1, -1))
-        _, z_aug, _ = encode_batch(CFG, params, aug.reshape(1, -1))
-        assert abs(dev - float(z_raw[0] @ z_aug[0])) < 1e-12
-
-    def test_bounded_by_one(self):
-        rng = make_rng(18)
-        params = params_for(19)
-        for trial in range(20):
-            comp_len = int(rng.integers(1, 5))
-            comp = sample_composite((comp_len,), 1.0, rng)
-            img = raster_for(20 + trial)
-            dev = latent_deviation(CFG, params, img, augmented(img, comp))
-            assert -1.0 - 1e-12 <= dev <= 1.0 + 1e-12
 
 
 class TestMomentumUpdate:

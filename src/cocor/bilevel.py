@@ -2,8 +2,8 @@
 the deviation predictor frozen, then a predictor update driven by labeled
 cross-entropy through the encoder's dependence on the prediction.
 
-The predictor update uses a collapsed scalar form built from measured
-differences across the encoder step:
+The predictor update uses a collapsed scalar form (``collapsed_scalar``)
+built from measured differences across the encoder step:
 
     grad = -[e^k / (1+e^k)^2] * (CE' - CE) * (simi' - simi) / (L_u' - L_u)
            * d/d(theta_d) E[g(V)]
@@ -126,15 +126,6 @@ class StepInfo:
     batch: StepBatch
     before: UnsupEval
     after: UnsupEval
-
-
-@dataclass
-class BilevelScalars:
-    ce_before: float
-    ce_after: float
-    coefficient: float
-    scalar: float
-    guard_triggered: bool
 
 
 @dataclass
@@ -287,35 +278,35 @@ def probe_step(state: TrainState, features: np.ndarray, labels: np.ndarray) -> f
     return ce
 
 
-def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> BilevelScalars:
-    """Predictor update from the collapsed scalar formula (see module doc).
-
-    Requires the StepInfo produced by this iteration's encoder_step; CE is
-    measured on its labeled rows' features at the pre-update and updated
-    encoder parameters, with the current probe frozen.
-    """
-    if state.theta_d is None:
-        raise RuntimeError("pmnn_step called with a constant deviation predictor")
-    w, b = state.probe["w"], state.probe["b"]
+def collapsed_scalar(probe: ParamSet, labels: np.ndarray, info: StepInfo) -> float | None:
+    """The collapsed scalar of the module doc for the encoder step behind
+    ``info``, with CE measured through ``probe`` on its labeled rows' features
+    before and after the step; None when |L_u' - L_u| < DENOM_GUARD, and then
+    no CE is measured."""
+    d_lu = info.after.lu - info.before.lu
+    if abs(d_lu) < DENOM_GUARD:
+        return None
+    w, b = probe["w"], probe["b"]
     ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels, want_grad=False)
     ce_after, _ = cross_entropy(info.after.labeled_features @ w + b, labels, want_grad=False)
+    # Minus sign: see module docstring; aligns the collapse with the
+    # exact chain-rule hypergradient.
+    return -(deviation_gap_coefficient(info.before.k_pooled) * (ce_after - ce_before)
+             * (info.after.simi - info.before.simi) / d_lu)
 
-    d_lu = info.after.lu - info.before.lu
-    coefficient = deviation_gap_coefficient(info.before.k_pooled)
-    guard = abs(d_lu) < DENOM_GUARD
-    scalar = 0.0
-    if guard:
+
+def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> None:
+    """Predictor step along dE[g]/d(theta_d), scaled by ``collapsed_scalar``
+    of this iteration's encoder step with the current probe; a guarded step
+    only counts in ``state.guard_count``."""
+    if state.theta_d is None:
+        raise RuntimeError("pmnn_step called with a constant deviation predictor")
+    scalar = collapsed_scalar(state.probe, labels, info)
+    if scalar is None:
         state.guard_count += 1
-    else:
-        # Minus sign: see module docstring; aligns the collapse with the
-        # exact chain-rule hypergradient.
-        scalar = -(coefficient * (ce_after - ce_before)
-                   * (info.after.simi - info.before.simi) / d_lu)
-        grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
-        state.theta_d = sgd_step(state.theta_d, grad_g.scale(scalar), state.opt_d)
-
-    return BilevelScalars(ce_before=ce_before, ce_after=ce_after, coefficient=coefficient,
-                          scalar=scalar, guard_triggered=guard)
+        return
+    grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v)
+    state.theta_d = sgd_step(state.theta_d, grad_g.scale(scalar), state.opt_d)
 
 
 def hypergradient_oracle(state: TrainState, info: StepInfo, labels: np.ndarray,
@@ -470,7 +461,10 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
             x_lab, y_lab = labeled_batch(state.step + 1)
             info = encoder_step(state, cfg, unlabeled[idx], x_lab, step_tag=state.step)
             ce = probe_step(state, info.after.labeled_features, y_lab)
-            coefficient = pmnn_step(state, y_lab, info).coefficient if per_step else None
+            coefficient = None
+            if per_step:
+                pmnn_step(state, y_lab, info)
+                coefficient = deviation_gap_coefficient(info.before.k_pooled)
             metrics.append(MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
                 l_contrast=info.before.lc, l_consist=info.before.lcons,

@@ -167,15 +167,14 @@ def encode_backward(cfg: EncoderConfig, params: ParamSet, cache: EncodeCache,
     return features_backward(cfg, params, cache.layers, d_proj, out=out)
 
 
-def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> ParamSet:
+def momentum_update(theta_k: ParamSet, theta_q: ParamSet, m: float) -> None:
     """theta_k <- m * theta_k + (1 - m) * theta_q, elementwise and in place
-    (same arithmetic as the out-of-place expression); returns theta_k."""
+    (same arithmetic as the out-of-place expression)."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum coefficient must lie in [0, 1]")
     theta_k._check_compatible(theta_q)
     theta_k.flat *= m
     theta_k.flat += (1.0 - m) * theta_q.flat
-    return theta_k
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from cocor import pmnn
-from cocor.bilevel import (deviation_gap_coefficient, encoder_step,
-                           hypergradient_oracle, init_train_state, pmnn_step,
-                           probe_step, train)
+from cocor.bilevel import (collapsed_scalar, deviation_gap_coefficient, encoder_step,
+                           hypergradient_oracle, init_train_state, probe_step, train)
 from cocor.cli import main as cli_main
 from cocor.config import RunConfig
 from cocor.data import synth_dataset
@@ -154,22 +153,19 @@ def test_criterion_4_hypergradient_fidelity():
         seed += 1
         cfg, state, imgs, x_lab, y_lab = _fidelity_instance(s)
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
-        try:
-            info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
-        except ValueError:
-            continue  # degenerate dead-projection init on a tiny net
+        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, info, y_lab, theta_before, lr)
-        scalars = pmnn_step(state, y_lab, info)
-        if scalars.guard_triggered or oracle_scalar == 0.0 or scalars.scalar == 0.0:
+        scalar = collapsed_scalar(state.probe, y_lab, info)
+        if scalar is None or oracle_scalar == 0.0 or scalar == 0.0:
             continue
         n_valid += 1
-        applied = grad_g.scale(scalars.scalar).flat
+        applied = grad_g.scale(scalar).flat
         oracle_flat = oracle_grad.flat
         cos = float(applied @ oracle_flat
                     / (np.linalg.norm(applied) * np.linalg.norm(oracle_flat)))
         worst_cos_gap = max(worst_cos_gap, abs(abs(cos) - 1.0))
-        agree += int(np.sign(scalars.scalar) == np.sign(oracle_scalar))
+        agree += int(np.sign(scalar) == np.sign(oracle_scalar))
     elapsed = time.monotonic() - t0
     passed = (n_valid == 50 and worst_cos_gap < 1e-9 and agree >= 40
               and elapsed < 60.0)

@@ -10,9 +10,9 @@ import pytest
 from cocor import bilevel, gradsuite, harness, pmnn
 from cocor.augment import (POOL_SIZE, BasicTransform, TransformId, apply_composite,
                            composition_vector, sample_composite)
-from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch, dacl,
-                           deviation_gap_coefficient, encoder_config, encoder_step,
-                           hypergradient_oracle, init_train_state, pmnn_step,
+from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch,
+                           collapsed_scalar, dacl, deviation_gap_coefficient, encoder_config,
+                           encoder_step, hypergradient_oracle, init_train_state, pmnn_step,
                            probe_ce, probe_step, train, unsup_eval, warm_up_queue)
 from cocor.config import RunConfig
 from cocor.data import synth_dataset, weak_augment
@@ -155,10 +155,9 @@ class TestPmnnStep:
                                        labeled_features=batch_info.after.labeled_features),
             after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, y_lab, info)
-        assert not scalars.guard_triggered
-        assert scalars.scalar == 0.0
-        assert scalars.ce_after == scalars.ce_before
+        assert collapsed_scalar(state.probe, y_lab, info) == 0.0
+        pmnn_step(state, y_lab, info)
+        assert state.guard_count == 0
         for name in theta_d_before.names():
             np.testing.assert_array_equal(state.theta_d[name], theta_d_before[name])
 
@@ -168,8 +167,8 @@ class TestPmnnStep:
         info = dataclasses.replace(batch_info, after=dataclasses.replace(
             batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
-        scalars = pmnn_step(state, y_lab, info)
-        assert scalars.guard_triggered
+        assert collapsed_scalar(state.probe, y_lab, info) is None
+        pmnn_step(state, y_lab, info)
         assert state.guard_count == 1
         for name in theta_d_before.names():
             np.testing.assert_array_equal(state.theta_d[name], theta_d_before[name])
@@ -179,8 +178,9 @@ class TestPmnnStep:
         info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
         theta_d_before = state.theta_d.copy()
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
-        scalars = pmnn_step(state, y_lab, info)
-        assert not scalars.guard_triggered and scalars.scalar != 0.0
+        scalar = collapsed_scalar(state.probe, y_lab, info)
+        assert scalar is not None and scalar != 0.0
+        pmnn_step(state, y_lab, info)
         delta = state.theta_d.flat - theta_d_before.flat
         cos = delta @ grad_g / (np.linalg.norm(delta) * np.linalg.norm(grad_g))
         assert abs(abs(cos) - 1.0) < 1e-9
@@ -292,12 +292,12 @@ class TestOracle:
                                    oracle_scalar * grad_g.flat, atol=1e-15)
 
     # sha256 over criterion 4's instances 0-29 of the oracle's gradient,
-    # scalar and dE[g]/d(theta_d), then pmnn_step's scalars and the updated
-    # theta_e and theta_d; recorded while StepInfo still carried theta_before
-    # and the oracle encoded the raw and augmented rows in two passes, and
-    # re-recorded when a zero-norm row began to embed as e_0, which made
-    # instance 29 valid (numpy 2.4, OpenBLAS, x86-64)
-    ORACLE_DIGEST = "af88c898e2b16793663996b60412cdebe7e57bebab9b1e16d51cdd9895ecf33a"
+    # scalar and dE[g]/d(theta_d), then the collapsed scalar (NaN when
+    # guarded), the coefficient and the guard count, and theta_e and theta_d
+    # after pmnn_step. The same values read through pmnn_step's earlier
+    # five-field return give this digest too, so moving the formula into
+    # collapsed_scalar changed no bit (numpy 2.4, OpenBLAS, x86-64)
+    ORACLE_DIGEST = "52a452f4603febb5eddc0343e14f4709742facac7939aa6ba7712150b9145016"
 
     def test_outputs_match_recorded_digest(self):
         h = hashlib.sha256()
@@ -307,10 +307,12 @@ class TestOracle:
             info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
             oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
                 state, info, y_lab, theta_before, lr)
-            s = pmnn_step(state, y_lab, info)
+            scalar = collapsed_scalar(state.probe, y_lab, info)
+            pmnn_step(state, y_lab, info)
             for a in (oracle_grad.flat, np.float64(oracle_scalar), grad_g.flat,
-                      np.array([s.ce_before, s.ce_after, s.coefficient, s.scalar,
-                                s.guard_triggered], dtype=np.float64),
+                      np.array([np.nan if scalar is None else scalar,
+                                deviation_gap_coefficient(info.before.k_pooled),
+                                state.guard_count], dtype=np.float64),
                       state.theta_e.flat, state.theta_d.flat):
                 h.update(a.tobytes())
         assert h.hexdigest() == self.ORACLE_DIGEST

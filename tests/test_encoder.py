@@ -134,43 +134,46 @@ class TestRowBlocks:
 class TestMomentumUpdate:
     def test_m_one_keeps_key_encoder(self):
         pk, pq = params_for(21), params_for(22)
-        out = momentum_update(pk, pq, 1.0)
+        k_before = pk.copy()
+        momentum_update(pk, pq, 1.0)
         for name in pk.names():
-            np.testing.assert_array_equal(out[name], pk[name])
+            np.testing.assert_array_equal(pk[name], k_before[name])
 
     def test_m_zero_copies_query(self):
         pk, pq = params_for(23), params_for(24)
-        out = momentum_update(pk, pq, 0.0)
+        momentum_update(pk, pq, 0.0)
         for name in pq.names():
-            np.testing.assert_array_equal(out[name], pq[name])
+            np.testing.assert_array_equal(pk[name], pq[name])
 
     def test_elementwise_oracle(self):
         pk, pq = params_for(25), params_for(26)
         k_before = pk.copy()
-        out = momentum_update(pk, pq, 0.99)
+        momentum_update(pk, pq, 0.99)
         for name in pk.names():
-            np.testing.assert_allclose(out[name],
+            np.testing.assert_allclose(pk[name],
                                        0.99 * k_before[name] + 0.01 * pq[name], atol=1e-12)
 
     def test_convex_combination_bounds(self):
         pk, pq = params_for(27), params_for(28)
-        out = momentum_update(pk, pq, 0.7)
+        k_before = pk.copy()
+        momentum_update(pk, pq, 0.7)
         for name in pk.names():
-            lo = np.minimum(pk[name], pq[name])
-            hi = np.maximum(pk[name], pq[name])
-            assert np.all(out[name] >= lo - 1e-15) and np.all(out[name] <= hi + 1e-15)
+            # bounds from the key encoder as it was before the in-place update
+            lo = np.minimum(k_before[name], pq[name])
+            hi = np.maximum(k_before[name], pq[name])
+            assert np.all(pk[name] >= lo - 1e-15) and np.all(pk[name] <= hi + 1e-15)
 
     def test_matches_per_segment_formula_bitwise(self):
         pk, pq = params_for(35), params_for(36)
         k_before, q_before = pk.copy(), pq.flat.copy()
-        out = momentum_update(pk, pq, 0.99)
-        assert out.layout == pk.layout
+        k_flat = pk.flat
+        assert momentum_update(pk, pq, 0.99) is None
         for name in pk.names():
             expected = 0.99 * k_before[name] + (1.0 - 0.99) * pq[name]
-            assert out[name].tobytes() == expected.tobytes(), name
+            assert pk[name].tobytes() == expected.tobytes(), name
         np.testing.assert_array_equal(pq.flat, q_before)
         # updates theta_k in place
-        assert out is pk
+        assert pk.flat is k_flat
 
     def test_layout_mismatch_raises(self):
         other = init_encoder_params(EncoderConfig(12, (10, 7), 6, 4), make_rng(37, 70))

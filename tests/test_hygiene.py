@@ -1,7 +1,9 @@
 """Static checks on the package source: no top-level import that its module
 never reads, no private module-level function or class that its module never
-references, and no function parameter that its function never reads. Only the
-standard library's ``ast`` is used."""
+references, no function parameter that its function never reads, no public
+definition that only tests read, no dataclass field that nothing reads, and
+no returned value that every caller drops. Only the standard library's
+``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -102,3 +104,69 @@ def test_no_public_definition_only_tests_read():
                     and node.name not in _reads_outside(trees[path], skip=node)):
                 unread.append(f"{path.name}: {node.name}")
     assert not unread, f"public definitions that no package or benchmark code reads: {unread}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+# harness writes every field of a record through dataclasses.asdict
+UNREAD_FIELDS_ALLOWED = {("bilevel.py", "MetricsRecord")}
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path: _parse(path) for path in READERS}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and (path.name, node.name) not in UNREAD_FIELDS_ALLOWED):
+                unread += [f"{node.name}.{field.target.id}" for field in node.body
+                           if isinstance(field, ast.AnnAssign)
+                           and isinstance(field.target, ast.Name)
+                           and field.target.id not in attrs]
+    assert not unread, f"dataclass fields that no package or benchmark code reads: {unread}"
+
+
+def _returns_value(func: ast.FunctionDef) -> bool:
+    """Whether the function's own body (not a nested scope) returns something
+    other than a bare or literal None."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_no_return_value_every_caller_drops():
+    # a name passed on as a value counts as a use: a name search cannot follow
+    # what the receiver does with the result
+    trees = {path: _parse(path) for path in READERS}
+    dropped, used = set(), set()
+    for tree in trees.values():
+        discarded = {id(node.value.func) for node in ast.walk(tree)
+                     if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            (dropped if id(node) in discarded else used).add(name)
+    unused = [f"{path.stem}.{node.name}" for path in MODULES for node in trees[path].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and _returns_value(node) and node.name in dropped and node.name not in used]
+    assert not unused, f"functions whose every caller drops the returned value: {unused}"

@@ -92,12 +92,15 @@ class StepBatch:
     """All views of one minibatch, flattened and stacked into one encoder
     input, so one forward pass per parameter version covers them: the query
     rows, the raw rows, their augmented views, then the labeled rows whose
-    backbone features the step's cross-entropy reads."""
+    backbone features the step's cross-entropy reads. The labels and the
+    predictor's outputs ride along, fixed for the whole step."""
 
     x: np.ndarray
     z_keys: np.ndarray          # momentum-encoder embeddings, one per query row; constants
     v: np.ndarray               # (pairs, POOL_SIZE) composition vectors
     lengths: np.ndarray         # (pairs,) composite lengths
+    y: np.ndarray               # labels of the labeled rows
+    g: np.ndarray               # (pairs,) predicted deviations, the consistency targets
 
     def starts(self) -> tuple[int, int, int]:
         """First row of the raw, the augmented and the labeled rows."""
@@ -154,10 +157,12 @@ def _flatten(imgs: np.ndarray) -> np.ndarray:
 
 
 def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                     x_labeled: np.ndarray, step_tag: int) -> StepBatch:
+                     labeled: tuple[np.ndarray, np.ndarray], step_tag: int) -> StepBatch:
     """Weak query/key views plus raw and composite-augmented views, stacked
-    with the labeled rows. Every sample draws from its own seed paths, so its
-    views do not depend on the batch around it."""
+    with the labeled rows of the (rows, labels) pair ``labeled``, and the
+    predictor's outputs on the pairs. Every sample draws from its own seed
+    paths, so its views do not depend on the batch around it."""
+    x_labeled, y = labeled
     n = imgs.shape[0]
     rngs = path_rngs([(cfg.seed, STREAM_VIEWS, step_tag, i, role)
                       for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
@@ -169,15 +174,14 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
 
     _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(views[n:]))
     x = np.concatenate([_flatten(views[:n]), _flatten(imgs), _flatten(augmented), x_labeled])
-    return StepBatch(x=x, z_keys=z_keys, v=v, lengths=v.sum(axis=1))
+    return StepBatch(x=x, z_keys=z_keys, v=v, lengths=v.sum(axis=1), y=y, g=state.predict(v))
 
 
 _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss_softplus}
 
 
-def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
-               g_vals: np.ndarray, queue: NegativeQueue, cfg: RunConfig,
-               want_grad: bool) -> tuple[UnsupEval, ParamSet | None]:
+def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue: NegativeQueue,
+               cfg: RunConfig, want_grad: bool) -> tuple[UnsupEval, ParamSet | None]:
     """Full unsupervised loss at theta, holding views, keys, queue, and
     predictor outputs fixed; returns its measurements and, with want_grad,
     its encoder gradient (else None).
@@ -194,9 +198,9 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch,
     omega = np.add.reduce(z_raw * z_aug, axis=1)   # as np.sum
     simi = mean(omega)
     lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
-        omega, g_vals, batch.lengths, want_grad)
+        omega, batch.g, batch.lengths, want_grad)
     lu = lc + lcons
-    k_pooled = mean(omega - g_vals)
+    k_pooled = mean(omega - batch.g)
     zero_norms = int(np.count_nonzero(cache.zero_norm[:lab]))
 
     grads = None
@@ -241,7 +245,7 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
 
 
 def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                 x_labeled: np.ndarray, step_tag: int) -> StepInfo:
+                 labeled: tuple[np.ndarray, np.ndarray], step_tag: int) -> StepInfo:
     """One descent step on the unsupervised loss with the predictor frozen.
 
     Builds the views, measures (L_u, simi, k) and the labeled rows' features
@@ -250,19 +254,18 @@ def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
     """
     if state.queue.fill < 1:
         raise RuntimeError("encoder_step requires a non-empty queue (run warm-up first)")
-    batch = build_step_batch(state, cfg, imgs, x_labeled, step_tag)
-    g_vals = state.predict(batch.v)
+    batch = build_step_batch(state, cfg, imgs, labeled, step_tag)
 
-    before, grads = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                               cfg, want_grad=True)
+    before, grads = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
+                               want_grad=True)
     # sgd_step makes a new set: nothing holds the old one or the gradient
     # through the re-evaluation
     state.theta_e = sgd_step(state.theta_e, grads, state.opt_e)
     del grads
     momentum_update(state.theta_k, state.theta_e, cfg.momentum_coef)
 
-    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                          cfg, want_grad=False)
+    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
+                          want_grad=False)
     state.queue.push(batch.z_keys)
     state.zero_norm_count += before.zero_norms + after.zero_norms
     state.step += 1
@@ -278,7 +281,7 @@ def probe_step(state: TrainState, features: np.ndarray, labels: np.ndarray) -> f
     return ce
 
 
-def collapsed_scalar(probe: ParamSet, labels: np.ndarray, info: StepInfo) -> float | None:
+def collapsed_scalar(probe: ParamSet, info: StepInfo) -> float | None:
     """The collapsed scalar of the module doc for the encoder step behind
     ``info``, with CE measured through ``probe`` on its labeled rows' features
     before and after the step; None when |L_u' - L_u| < DENOM_GUARD, and then
@@ -286,7 +289,7 @@ def collapsed_scalar(probe: ParamSet, labels: np.ndarray, info: StepInfo) -> flo
     d_lu = info.after.lu - info.before.lu
     if abs(d_lu) < DENOM_GUARD:
         return None
-    w, b = probe["w"], probe["b"]
+    w, b, labels = probe["w"], probe["b"], info.batch.y
     ce_before, _ = cross_entropy(info.before.labeled_features @ w + b, labels, want_grad=False)
     ce_after, _ = cross_entropy(info.after.labeled_features @ w + b, labels, want_grad=False)
     # Minus sign: see module docstring; aligns the collapse with the
@@ -295,13 +298,13 @@ def collapsed_scalar(probe: ParamSet, labels: np.ndarray, info: StepInfo) -> flo
              * (info.after.simi - info.before.simi) / d_lu)
 
 
-def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> None:
+def pmnn_step(state: TrainState, info: StepInfo) -> None:
     """Predictor step along dE[g]/d(theta_d), scaled by ``collapsed_scalar``
     of this iteration's encoder step with the current probe; a guarded step
     only counts in ``state.guard_count``."""
     if state.theta_d is None:
         raise RuntimeError("pmnn_step called with a constant deviation predictor")
-    scalar = collapsed_scalar(state.probe, labels, info)
+    scalar = collapsed_scalar(state.probe, info)
     if scalar is None:
         state.guard_count += 1
         return
@@ -309,20 +312,19 @@ def pmnn_step(state: TrainState, labels: np.ndarray, info: StepInfo) -> None:
     state.theta_d = sgd_step(state.theta_d, grad_g.scale(scalar), state.opt_d)
 
 
-def hypergradient_oracle(state: TrainState, info: StepInfo, labels: np.ndarray,
-                         theta_start: ParamSet, lr: float) -> tuple[ParamSet, float, ParamSet]:
+def hypergradient_oracle(state: TrainState, info: StepInfo, theta_start: ParamSet,
+                         lr: float) -> tuple[ParamSet, float, ParamSet]:
     """Exact first-order chain-rule hypergradient, independent of the scalar
     formula: eta_e * sigma'(k) * (grad CE(theta') . grad simi(theta)) * dE[g]/d(theta_d).
 
-    ``labels`` belong to the labeled rows of ``info.batch``; theta_start and
-    lr are the encoder parameters and the learning rate the step behind
-    ``info`` started from. Returns (oracle gradient, its scalar
+    theta_start and lr are the encoder parameters and the learning rate the
+    step behind ``info`` started from. Returns (oracle gradient, its scalar
     multiplier, dE[g]/d(theta_d)).
     """
     enc_cfg = state.enc_cfg
     r, a, lab = info.batch.starts()
     _, grad_ce = probe_ce(enc_cfg, state.theta_e, state.probe, info.batch.x[lab:],
-                          labels, want_encoder_grad=True)
+                          info.batch.y, want_encoder_grad=True)
     # grad of the batch-mean raw/augmented similarity at theta_start
     _, z, cache = encode_batch(enc_cfg, theta_start, info.batch.x[r:lab])
     n = a - r
@@ -458,12 +460,12 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         for it in range(steps_per_epoch):
             idx = perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
             # the labeled batch is keyed by the step count encoder_step reaches
-            x_lab, y_lab = labeled_batch(state.step + 1)
-            info = encoder_step(state, cfg, unlabeled[idx], x_lab, step_tag=state.step)
-            ce = probe_step(state, info.after.labeled_features, y_lab)
+            info = encoder_step(state, cfg, unlabeled[idx], labeled_batch(state.step + 1),
+                                step_tag=state.step)
+            ce = probe_step(state, info.after.labeled_features, info.batch.y)
             coefficient = None
             if per_step:
-                pmnn_step(state, y_lab, info)
+                pmnn_step(state, info)
                 coefficient = deviation_gap_coefficient(info.before.k_pooled)
             metrics.append(MetricsRecord(
                 record_type="iteration", epoch=epoch, step=state.step,
@@ -479,9 +481,9 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
 
         if per_epoch:
             # last_batch is set: train rejects an unlabeled split under one batch
-            x_lab, y_lab = labeled_batch(cfg.epochs * steps_per_epoch + epoch)
-            pmnn_step(state, y_lab,
-                      _epoch_pair_info(state, cfg, epoch_start_theta, last_batch, x_lab))
+            pmnn_step(state, _epoch_pair_info(
+                state, cfg, epoch_start_theta, last_batch,
+                labeled_batch(cfg.epochs * steps_per_epoch + epoch)))
 
         if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
@@ -505,15 +507,16 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
 
 
 def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
-                     last: StepBatch, x_labeled: np.ndarray) -> StepInfo:
+                     last: StepBatch, labeled: tuple[np.ndarray, np.ndarray]) -> StepInfo:
     """Coarse epoch-level (theta, theta') pair measured on the last batch's
-    views, with x_labeled in place of its labeled rows."""
+    views and predictions (theta_d has not moved since), with the (rows,
+    labels) pair ``labeled`` in place of its labeled rows."""
+    x_labeled, y = labeled
     batch = dataclasses.replace(
-        last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]))
-    g_vals = state.predict(batch.v)
-    before, _ = unsup_eval(state.enc_cfg, theta_start, batch, g_vals, state.queue,
-                           cfg, want_grad=False)
-    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                          cfg, want_grad=False)
+        last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]), y=y)
+    before, _ = unsup_eval(state.enc_cfg, theta_start, batch, state.queue, cfg,
+                           want_grad=False)
+    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
+                          want_grad=False)
     return StepInfo(batch=batch, before=before, after=after)
 

@@ -25,10 +25,10 @@ SPLIT_NAMES = ("unlabeled_train", "labeled_train", "eval_train", "eval_test")
 
 @dataclass
 class Dataset:
-    """Rasters with optional labels and disjoint split index sets."""
+    """Rasters with their labels and disjoint split index sets."""
 
     images: np.ndarray            # (N, H, W, C) float64 in [0, 1]
-    labels: np.ndarray | None     # (N,) int64 or None
+    labels: np.ndarray            # (N,) int64
     classes: int
     splits: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -36,12 +36,11 @@ class Dataset:
         self.images = np.asarray(self.images, dtype=np.float64)
         if self.images.ndim != 4:
             raise ValueError(f"images must be (N, H, W, C), got {self.images.shape}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.images.shape[0],):
-                raise ValueError("labels length must match image count")
-            if np.any(self.labels < 0) or np.any(self.labels >= self.classes):
-                raise ValueError(f"labels must lie in [0, {self.classes})")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (self.images.shape[0],):
+            raise ValueError("labels length must match image count")
+        if np.any(self.labels < 0) or np.any(self.labels >= self.classes):
+            raise ValueError(f"labels must lie in [0, {self.classes})")
         self._validate_splits()
 
     def _validate_splits(self):
@@ -57,8 +56,6 @@ class Dataset:
             if overlap:
                 raise ValueError(f"split {name!r} overlaps another split")
             seen.update(idx.tolist())
-            if name != "unlabeled_train" and idx.size and self.labels is None:
-                raise ValueError(f"split {name!r} requires labels")
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
@@ -68,8 +65,6 @@ class Dataset:
         return self.images[self.splits[name]]
 
     def split_labels(self, name: str) -> np.ndarray:
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
         return self.labels[self.splits[name]]
 
 

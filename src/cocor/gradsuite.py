@@ -131,18 +131,16 @@ def check_total_unsup(seed: int) -> float:
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
     batch = bilevel.StepBatch(x=np.concatenate([x_query, x_raw, x_aug]), z_keys=z_keys,
                               v=np.zeros((3, POOL_SIZE), dtype=np.int64),
-                              lengths=np.array([1, 2, 1]))
-    g_vals = np.array([0.4, 0.1, 0.5])
+                              lengths=np.array([1, 2, 1]), y=np.zeros(0, dtype=np.int64),
+                              g=np.array([0.4, 0.1, 0.5]))
 
     def error(variant: str) -> float:
         cfg = RunConfig(variant=variant)
 
         def loss_fn(p: ParamSet) -> float:
-            return bilevel.unsup_eval(TINY_ENC, p, batch, g_vals, queue, cfg,
-                                      want_grad=False)[0].lu
+            return bilevel.unsup_eval(TINY_ENC, p, batch, queue, cfg, want_grad=False)[0].lu
 
-        _, analytic = bilevel.unsup_eval(TINY_ENC, params, batch, g_vals, queue, cfg,
-                                         want_grad=True)
+        _, analytic = bilevel.unsup_eval(TINY_ENC, params, batch, queue, cfg, want_grad=True)
         return grad_check(loss_fn, params, analytic)
 
     return float(np.max([error(v) for v in VARIANTS]))  # np.max keeps a NaN

@@ -153,10 +153,10 @@ def test_criterion_4_hypergradient_fidelity():
         seed += 1
         cfg, state, imgs, x_lab, y_lab = _fidelity_instance(s)
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
-        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, y_lab, theta_before, lr)
-        scalar = collapsed_scalar(state.probe, y_lab, info)
+            state, info, theta_before, lr)
+        scalar = collapsed_scalar(state.probe, info)
         if scalar is None or oracle_scalar == 0.0 or scalar == 0.0:
             continue
         n_valid += 1

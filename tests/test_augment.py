@@ -142,7 +142,6 @@ class TestBasicTransforms:
 
 class TestInvariants:
     def test_dimension_and_range_preserved_for_all_transforms(self):
-        rng = make_rng(60)
         for tid in ALL_IDS:
             for c in (1, 3):
                 img = make_rng(61, int(tid), c).uniform(0, 1, size=(7, 9, c))

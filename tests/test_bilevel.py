@@ -45,6 +45,11 @@ def tiny_instance(seed, **overrides):
     return cfg, state, imgs, ds.images[lab_idx].reshape(cfg.batch_size, -1), ds.labels[lab_idx]
 
 
+def no_labeled_rows(cfg):
+    """A (rows, labels) pair with no rows, for a step batch without labeled rows."""
+    return np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64)
+
+
 class TestCoefficient:
     def test_quarter_at_zero(self):
         assert deviation_gap_coefficient(0.0) == 0.25
@@ -65,26 +70,26 @@ class TestCoefficient:
 
 class TestEncoderStep:
     def test_zero_lr_leaves_encoder_but_advances_queue(self):
-        cfg, state, imgs, x_lab, _ = tiny_instance(1)
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(1)
         state.opt_e = SgdState(base_lr=0.0, momentum=0.9, weight_decay=0.0, step=0,
                                total_steps=0, buffers=np.zeros_like(state.theta_e.flat))
         before = state.theta_e.copy()
         fill0 = state.queue.fill
-        encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
         assert state.queue.fill == fill0 + cfg.batch_size
 
     def test_requires_nonempty_queue(self):
-        cfg, state, imgs, x_lab, _ = tiny_instance(2)
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(2)
         state.queue = NegativeQueue(cfg.queue_capacity, cfg.embed_dim)
         with pytest.raises(RuntimeError):
-            encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+            encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
 
     def test_descent_at_small_lr(self):
         for lr in (1e-3, 1e-4):
-            cfg, state, imgs, x_lab, _ = tiny_instance(3, eta_e=lr)
-            info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+            cfg, state, imgs, x_lab, y_lab = tiny_instance(3, eta_e=lr)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
             assert info.after.lu < info.before.lu, lr
 
     def test_pre_step_encoder_is_freed_when_the_step_returns(self, monkeypatch):
@@ -105,9 +110,9 @@ class TestEncoderStep:
         assert alive and not any(alive)
 
     def test_momentum_encoder_tracks_query(self):
-        cfg, state, imgs, x_lab, _ = tiny_instance(4)
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(4)
         theta_k_before = state.theta_k.copy()
-        encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         m = cfg.momentum_coef
         for name in theta_k_before.names():
             expected = m * theta_k_before[name] + (1.0 - m) * state.theta_e[name]
@@ -116,25 +121,23 @@ class TestEncoderStep:
 
 class TestUnsupEval:
     def test_labeled_rows_do_not_count_as_zero_norms(self):
-        cfg, state, imgs, x_lab, _ = tiny_instance(15)
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(15)
         # a fresh encoder has zero biases, so rows of zeros project to zero
         zeros = np.zeros_like(x_lab)
         assert encode_batch(state.enc_cfg, state.theta_e, zeros)[2].zero_norm.all()
         counts = []
-        for labeled in (np.empty((0, cfg.input_dim)), zeros):
+        for labeled in (no_labeled_rows(cfg), (zeros, y_lab)):
             batch = build_step_batch(state, cfg, imgs, labeled, step_tag=0)
-            g_vals = state.predict(batch.v)
-            counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, g_vals, state.queue,
-                                     cfg, want_grad=False)[0].zero_norms)
+            counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
+                                     want_grad=False)[0].zero_norms)
         assert counts[1] == counts[0]
 
     @pytest.mark.parametrize("variant", ["abs", "softplus"])
     def test_loss_only_call_matches_gradient_call_bitwise(self, variant):
-        cfg, state, imgs, x_lab, _ = tiny_instance(16, variant=variant, lengths=(1, 2, 3))
-        batch = build_step_batch(state, cfg, imgs, x_lab, step_tag=0)
-        g_vals = state.predict(batch.v)
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(16, variant=variant, lengths=(1, 2, 3))
+        batch = build_step_batch(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         (full, grads), (loss_only, none) = (unsup_eval(state.enc_cfg, state.theta_e, batch,
-                                                       g_vals, state.queue, cfg, want_grad)
+                                                       state.queue, cfg, want_grad=want_grad)
                                             for want_grad in (True, False))
         assert grads is not None and none is None
         # pickle keeps every float's 8 bytes, dict order and array bytes
@@ -148,39 +151,39 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(6)
         # the same labeled features before and after -> CE' == CE exactly;
         # fake a loss drop so the denominator guard does not trigger.
-        batch_info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         info = StepInfo(
             batch=batch_info.batch,
             before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1,
                                        labeled_features=batch_info.after.labeled_features),
             after=dataclasses.replace(batch_info.after, lu=1.4, simi=0.2))
         theta_d_before = state.theta_d.copy()
-        assert collapsed_scalar(state.probe, y_lab, info) == 0.0
-        pmnn_step(state, y_lab, info)
+        assert collapsed_scalar(state.probe, info) == 0.0
+        pmnn_step(state, info)
         assert state.guard_count == 0
         for name in theta_d_before.names():
             np.testing.assert_array_equal(state.theta_d[name], theta_d_before[name])
 
     def test_guard_skips_update_and_counts(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(7)
-        batch_info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         info = dataclasses.replace(batch_info, after=dataclasses.replace(
             batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
-        assert collapsed_scalar(state.probe, y_lab, info) is None
-        pmnn_step(state, y_lab, info)
+        assert collapsed_scalar(state.probe, info) is None
+        pmnn_step(state, info)
         assert state.guard_count == 1
         for name in theta_d_before.names():
             np.testing.assert_array_equal(state.theta_d[name], theta_d_before[name])
 
     def test_update_parallel_to_mean_prediction_gradient(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(8)
-        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         theta_d_before = state.theta_d.copy()
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
-        scalar = collapsed_scalar(state.probe, y_lab, info)
+        scalar = collapsed_scalar(state.probe, info)
         assert scalar is not None and scalar != 0.0
-        pmnn_step(state, y_lab, info)
+        pmnn_step(state, info)
         delta = state.theta_d.flat - theta_d_before.flat
         cos = delta @ grad_g / (np.linalg.norm(delta) * np.linalg.norm(grad_g))
         assert abs(abs(cos) - 1.0) < 1e-9
@@ -189,8 +192,8 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(9)
         rng = make_rng(81)
         for step in range(5):
-            info = encoder_step(state, cfg, imgs, x_lab, step_tag=step)
-            pmnn_step(state, y_lab, info)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=step)
+            pmnn_step(state, info)
         for _ in range(100):
             v = rng.integers(0, 9, size=14)
             i = int(rng.integers(0, 14))
@@ -285,9 +288,9 @@ class TestOracle:
     def test_oracle_vector_is_scalar_times_mean_grad(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(14)
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
-        info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-            state, info, y_lab, theta_before, lr)
+            state, info, theta_before, lr)
         np.testing.assert_allclose(oracle_grad.flat,
                                    oracle_scalar * grad_g.flat, atol=1e-15)
 
@@ -304,11 +307,11 @@ class TestOracle:
         for seed in range(30):
             cfg, state, imgs, x_lab, y_lab = _fidelity_instance(seed)
             theta_before, lr = state.theta_e, state.opt_e.current_lr()
-            info = encoder_step(state, cfg, imgs, x_lab, step_tag=0)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
             oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
-                state, info, y_lab, theta_before, lr)
-            scalar = collapsed_scalar(state.probe, y_lab, info)
-            pmnn_step(state, y_lab, info)
+                state, info, theta_before, lr)
+            scalar = collapsed_scalar(state.probe, info)
+            pmnn_step(state, info)
             for a in (oracle_grad.flat, np.float64(oracle_scalar), grad_g.flat,
                       np.array([np.nan if scalar is None else scalar,
                                 deviation_gap_coefficient(info.before.k_pooled),
@@ -442,7 +445,7 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("seed,channels", sorted(RECORDED))
     def test_views_match_recorded_output(self, seed, channels):
         cfg, state, imgs = view_instance(seed, channels)
-        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), step_tag=7)
+        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg), step_tag=7)
         q, a, lab = b.starts()
         assert (_sha256(b.x[:q], b.x[a:lab], b.v, b.lengths)
                 == self.RECORDED[seed, channels])
@@ -450,7 +453,7 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("channels", (1, 3))
     def test_each_sample_equals_its_batch_of_one(self, channels):
         cfg, state, imgs = view_instance(2**32 + 9, channels)
-        b = build_step_batch(state, cfg, imgs, np.empty((0, cfg.input_dim)), step_tag=4)
+        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg), step_tag=4)
         a = b.starts()[1]
         for i in range(imgs.shape[0]):
             path = (cfg.seed, 5, 4, i)
@@ -536,11 +539,43 @@ class TestTrain:
 
     def test_emits_iteration_and_epoch_records(self):
         cfg = self._cfg()
-        _, metrics = train(cfg, self._dataset(cfg))
-        kinds = [m.record_type for m in metrics]
-        steps_per_epoch = (3 * 16 * 3 // 4 - 5 * 3) // 4  # unlabeled // batch
-        assert kinds.count("epoch") == 2
-        assert kinds.count("iteration") == metrics[-1].step
+        ds = self._dataset(cfg)
+        _, metrics = train(cfg, ds)
+        steps_per_epoch = ds.split_images("unlabeled_train").shape[0] // cfg.batch_size
+        assert steps_per_epoch == 8  # 33 unlabeled rasters at batch 4
+        assert [m.record_type for m in metrics] == (["iteration"] * 8 + ["epoch"]) * 2
+        assert [m.step for m in metrics if m.record_type == "epoch"] == [8, 16]
+
+    def test_epoch_alternation_predicts_once_a_step_and_once_for_dacl(self, monkeypatch):
+        # the epoch update reuses the last batch's predictions: theta_d has not
+        # moved since, so 16 steps and 2 epochs of DACL make 18 calls
+        cfg = self._cfg(alternation="epoch")
+        ds = self._dataset(cfg)
+        predicts, epoch_batches = [], []
+        real_predict, real_pmnn = bilevel.TrainState.predict, bilevel.pmnn_step
+
+        def counted_predict(state, v):
+            predicts.append(v.shape[0])
+            return real_predict(state, v)
+
+        def recorded_pmnn(state, info):
+            epoch_batches.append(info.batch)
+            real_pmnn(state, info)
+
+        monkeypatch.setattr(bilevel.TrainState, "predict", counted_predict)
+        monkeypatch.setattr(bilevel, "pmnn_step", recorded_pmnn)
+        train(cfg, ds)
+        assert predicts == ([cfg.batch_size] * 8 + [bilevel.DACL_PROBE_SIZE]) * 2
+        assert len(epoch_batches) == 2
+        x_all = ds.split_images("labeled_train").reshape(-1, cfg.input_dim)
+        y_all = ds.split_labels("labeled_train")
+        for batch in epoch_batches:
+            rows = batch.x[batch.starts()[2]:]
+            assert rows.shape[0] == batch.y.size > 0
+            # each labeled row is one raster of the split, with its own label
+            found = [np.flatnonzero((x_all == row).all(axis=1)) for row in rows]
+            assert all(f.size == 1 for f in found)
+            np.testing.assert_array_equal(batch.y, y_all[[f[0] for f in found]])
 
     def test_without_pmnn_skips_predictor_updates(self):
         cfg = self._cfg(use_pmnn=False, const_deviation=0.5)

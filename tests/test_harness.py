@@ -74,12 +74,6 @@ class TestDatasetInvariants:
                     splits={"labeled_train": np.array([0, 1]),
                             "eval_train": np.array([1, 2])})
 
-    def test_labeled_split_requires_labels(self):
-        imgs = np.zeros((4, 2, 2, 1))
-        with pytest.raises(ValueError, match="labels"):
-            Dataset(images=imgs, labels=None, classes=2,
-                    splits={"labeled_train": np.array([0])})
-
     def test_label_range_validated(self):
         with pytest.raises(ValueError):
             Dataset(images=np.zeros((2, 2, 2, 1)), labels=np.array([0, 5]), classes=2)

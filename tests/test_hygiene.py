@@ -1,9 +1,10 @@
 """Static checks on the package source: no top-level import that its module
 never reads, no private module-level function or class that its module never
 references, no function parameter that its function never reads, no public
-definition that only tests read, no dataclass field that nothing reads, and
-no returned value that every caller drops. Only the standard library's
-``ast`` is used."""
+definition that only tests read, no dataclass field that nothing reads, no
+returned value that every caller drops, and no local, in the package, the
+benchmark or the tests, that is assigned and never read. Only the standard
+library's ``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -135,19 +136,24 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields that no package or benchmark code reads: {unread}"
 
 
-def _returns_value(func: ast.FunctionDef) -> bool:
-    """Whether the function's own body (not a nested scope) returns something
-    other than a bare or literal None."""
+def _own_scope(func: ast.FunctionDef):
+    """The nodes of the function's own body; a nested function, lambda or
+    class is yielded but not entered."""
     todo = list(func.body)
     while todo:
         node = todo.pop()
-        if isinstance(node, ast.Return) and node.value is not None and not (
-                isinstance(node.value, ast.Constant) and node.value.value is None):
-            return True
+        yield node
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                                  ast.ClassDef)):
             todo.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def _returns_value(func: ast.FunctionDef) -> bool:
+    """Whether the function's own body returns something other than a bare
+    or literal None."""
+    return any(isinstance(node, ast.Return) and node.value is not None and not (
+        isinstance(node.value, ast.Constant) and node.value.value is None)
+        for node in _own_scope(func))
 
 
 def test_no_return_value_every_caller_drops():
@@ -170,3 +176,24 @@ def test_no_return_value_every_caller_drops():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and _returns_value(node) and node.name in dropped and node.name not in used]
     assert not unused, f"functions whose every caller drops the returned value: {unused}"
+
+
+# every Python file of the package, the benchmark and the tests
+CODE = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")) + sorted(
+    Path(__file__).resolve().parent.glob("*.py"))
+
+
+def test_no_local_assigned_and_never_read():
+    # only a plain `name = ...` counts: tuple unpacking, loop targets, `with ... as`
+    # and augmented assignment do not, and _-prefixed names are exempt; a read
+    # in a nested function counts
+    unread = []
+    for path in CODE:
+        for func in ast.walk(_parse(path)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads = _read_names(func)
+                unread += [f"{path.name}:{func.name} ({target.id})"
+                           for node in _own_scope(func) if isinstance(node, ast.Assign)
+                           for target in node.targets if isinstance(target, ast.Name)
+                           and not target.id.startswith("_") and target.id not in reads]
+    assert not unread, f"locals assigned and never read: {unread}"

@@ -153,18 +153,19 @@ class MetricsRecord:
 
 
 def _flatten(imgs: np.ndarray) -> np.ndarray:
-    return np.asarray(imgs, dtype=np.float64).reshape(imgs.shape[0], -1)
+    return imgs.reshape(imgs.shape[0], -1)
 
 
 def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                     labeled: tuple[np.ndarray, np.ndarray], step_tag: int) -> StepBatch:
+                     labeled: tuple[np.ndarray, np.ndarray]) -> StepBatch:
     """Weak query/key views plus raw and composite-augmented views, stacked
     with the labeled rows of the (rows, labels) pair ``labeled``, and the
     predictor's outputs on the pairs. Every sample draws from its own seed
-    paths, so its views do not depend on the batch around it."""
+    paths, keyed by ``state.step``, so its views do not depend on the batch
+    around it."""
     x_labeled, y = labeled
     n = imgs.shape[0]
-    rngs = path_rngs([(cfg.seed, STREAM_VIEWS, step_tag, i, role)
+    rngs = path_rngs([(cfg.seed, STREAM_VIEWS, state.step, i, role)
                       for role in (ROLE_QUERY, ROLE_KEY, ROLE_COMPOSITE) for i in range(n)])
     # the paths are role-major: queries, then keys, from one pass
     views = weak_augment(np.concatenate((imgs, imgs)), itertools.islice(rngs, 2 * n))
@@ -181,7 +182,7 @@ _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss
 
 
 def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue: NegativeQueue,
-               cfg: RunConfig, want_grad: bool) -> tuple[UnsupEval, ParamSet | None]:
+               cfg: RunConfig, *, want_grad: bool) -> tuple[UnsupEval, ParamSet | None]:
     """Full unsupervised loss at theta, holding views, keys, queue, and
     predictor outputs fixed; returns its measurements and, with want_grad,
     its encoder gradient (else None).
@@ -245,16 +246,14 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
 
 
 def encoder_step(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
-                 labeled: tuple[np.ndarray, np.ndarray], step_tag: int) -> StepInfo:
+                 labeled: tuple[np.ndarray, np.ndarray]) -> StepInfo:
     """One descent step on the unsupervised loss with the predictor frozen.
 
     Builds the views, measures (L_u, simi, k) and the labeled rows' features
     before and after the update on identical inputs and queue contents,
     updates the momentum encoder, and only then enqueues the new keys.
     """
-    if state.queue.fill < 1:
-        raise RuntimeError("encoder_step requires a non-empty queue (run warm-up first)")
-    batch = build_step_batch(state, cfg, imgs, labeled, step_tag)
+    batch = build_step_batch(state, cfg, imgs, labeled)
 
     before, grads = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
                                want_grad=True)
@@ -362,8 +361,8 @@ def encoder_config(cfg: RunConfig) -> EncoderConfig:
                          proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
 
 
-def init_train_state(cfg: RunConfig, enc_cfg: EncoderConfig,
-                     total_steps: int) -> TrainState:
+def init_train_state(cfg: RunConfig, total_steps: int) -> TrainState:
+    enc_cfg = encoder_config(cfg)
     theta_e = init_encoder_params(enc_cfg, make_rng(cfg.seed, STREAM_INIT_ENCODER))
     theta_d = (pmnn.init_pmnn_params(make_rng(cfg.seed, STREAM_INIT_PMNN), cfg.pmnn_hidden)
                if cfg.use_pmnn else None)
@@ -433,9 +432,8 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
     if unlabeled.shape[0] < cfg.batch_size:
         raise ConfigError(f"unlabeled split smaller than batch_size = {cfg.batch_size}")
 
-    enc_cfg = encoder_config(cfg)
     steps_per_epoch = unlabeled.shape[0] // cfg.batch_size
-    state = init_train_state(cfg, enc_cfg, total_steps=cfg.epochs * steps_per_epoch)
+    state = init_train_state(cfg, total_steps=cfg.epochs * steps_per_epoch)
     metrics: list[MetricsRecord] = []
     if cfg.epochs == 0:
         return state, metrics
@@ -460,8 +458,7 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         for it in range(steps_per_epoch):
             idx = perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
             # the labeled batch is keyed by the step count encoder_step reaches
-            info = encoder_step(state, cfg, unlabeled[idx], labeled_batch(state.step + 1),
-                                step_tag=state.step)
+            info = encoder_step(state, cfg, unlabeled[idx], labeled_batch(state.step + 1))
             ce = probe_step(state, info.after.labeled_features, info.batch.y)
             coefficient = None
             if per_step:
@@ -488,9 +485,9 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
         if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
 
-        acc = probe_accuracy(enc_cfg, state.theta_e, state.probe, labeled_x_all,
+        acc = probe_accuracy(state.enc_cfg, state.theta_e, state.probe, labeled_x_all,
                              labeled_y_all)
-        dacl_val = dacl(enc_cfg, state.theta_e, state.predict,
+        dacl_val = dacl(state.enc_cfg, state.theta_e, state.predict,
                         *_dacl_probe_set(cfg, unlabeled, epoch))
         # a loss averages over the epoch's steps, k_l over the steps that drew length l
         rows = metrics[-steps_per_epoch:]

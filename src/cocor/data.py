@@ -210,7 +210,6 @@ def weak_augment(imgs: np.ndarray, rngs) -> np.ndarray:
     ``rngs`` yields one generator per raster; raster i's draws come from the
     i-th, in the order flip, jitter, noise.
     """
-    imgs = np.asarray(imgs, dtype=np.float64)
     n, _, _, channels = imgs.shape
     flip = np.empty(n, dtype=bool)
     jitter = np.empty((n, channels))

@@ -112,9 +112,6 @@ def encode_features(cfg: EncoderConfig, params: ParamSet,
                     x: np.ndarray) -> tuple[np.ndarray, list]:
     """Backbone features of a (B, input_dim) batch, without the projection
     head; returns (features, the backbone's ``mlp_forward`` cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected (B, {cfg.input_dim}) input, got {x.shape}")
     return mlp_forward(_stack(cfg, params, stop=len(cfg.hidden)), x)
 
 

@@ -35,9 +35,8 @@ class NegativeQueue:
 
     def push(self, embeddings: np.ndarray) -> None:
         """Append rows, evicting the oldest entries past capacity."""
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        if embeddings.shape[1] != self.dim:
-            raise ValueError(f"embedding dim {embeddings.shape[1]} != {self.dim}")
+        if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
+            raise ValueError(f"embeddings shape {embeddings.shape} != (n, {self.dim})")
         norms = np.linalg.norm(embeddings, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -64,10 +63,8 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
         raise ValueError("temperature must be positive")
     if queue.fill < 1:
         raise RuntimeError("contrastive loss requires a non-empty queue")
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    z_pos = np.atleast_2d(np.asarray(z_pos, dtype=np.float64))
-    if z.shape != z_pos.shape:
-        raise ValueError("query and positive batches must have equal shapes")
+    if z.ndim != 2 or z.shape != z_pos.shape:
+        raise ValueError("query and positive batches must be 2-D with equal shapes")
     negs = queue.as_matrix()
 
     pos_logits = np.add.reduce(z * z_pos, axis=1) / tau     # (B,), as np.sum
@@ -85,9 +82,6 @@ def _gaps(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
           ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]]:
     """omega - g, the mask of each configured length (ascending), and the
     mean gap k_l of each length."""
-    omega = np.asarray(omega, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    lengths = np.asarray(lengths)
     if omega.ndim != 1 or omega.shape != g.shape or omega.shape != lengths.shape:
         raise ValueError("omega, g and lengths must be equal-length vectors")
     if omega.size == 0:
@@ -137,15 +131,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray,
                   want_grad: bool = True) -> tuple[float, np.ndarray | None]:
     """Mean negative log-softmax of the true class; grad = (softmax - onehot)/B,
     None without ``want_grad``."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.asarray(labels)
     b, c = logits.shape
     if labels.shape != (b,):
         raise ValueError(f"labels shape {labels.shape} != ({b},)")
     if np.count_nonzero((labels < 0) | (labels >= c)):
         raise ValueError(f"labels must lie in [0, {c})")
     rows = np.arange(b)
-    labels = labels.astype(np.int64)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

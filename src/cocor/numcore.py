@@ -100,15 +100,10 @@ def _pool_keys(words: np.ndarray) -> np.ndarray:
 
 def philox_keys(paths) -> np.ndarray:
     """(N, 2) uint64 Philox keys; row i is the key ``make_rng(*paths[i])``
-    uses, derived without building a SeedSequence per path."""
-    rows = [_entropy_words(p) for p in paths]
-    keys = np.empty((len(rows), 2), dtype=np.uint64)
-    by_length: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(i)
-    for idx in by_length.values():
-        keys[idx] = _pool_keys(np.array([rows[i] for i in idx], dtype=np.uint32))
-    return keys
+    uses, derived without building a SeedSequence per path. Every path must
+    assemble the same number of entropy words (one template, one seed);
+    numpy raises ValueError on a ragged list."""
+    return _pool_keys(np.array([_entropy_words(p) for p in paths], dtype=np.uint32))
 
 
 def path_rngs(paths):

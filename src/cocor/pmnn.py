@@ -47,8 +47,6 @@ def init_pmnn_params(rng: np.random.Generator, hidden: int) -> ParamSet:
 
 def _as_batch(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[None, :]
     if v.ndim != 2 or v.shape[1] != POOL_SIZE:
         raise ValueError(f"composition vectors must have {POOL_SIZE} entries, got {v.shape}")
     if (v < 0).any():

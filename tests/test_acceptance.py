@@ -19,7 +19,7 @@ from cocor.bilevel import (collapsed_scalar, deviation_gap_coefficient, encoder_
 from cocor.cli import main as cli_main
 from cocor.config import RunConfig
 from cocor.data import synth_dataset
-from cocor.encoder import EncoderConfig, encode_batch
+from cocor.encoder import encode_batch
 from cocor.gradsuite import run_gradient_suite
 from cocor.harness import ablate_pmnn, build_dataset, linear_eval, random_encoder_baseline
 from cocor.losses import NegativeQueue, contrastive_loss
@@ -124,8 +124,7 @@ def _fidelity_instance(seed):
                     noise=0.1, hidden=(10, 8), proj_hidden=8, embed_dim=4,
                     pmnn_hidden=8, queue_capacity=16, batch_size=4, lengths=(1,),
                     epochs=1, seed=seed, eta_e=5e-4, tau=3.0)
-    enc_cfg = EncoderConfig(input_dim=36, hidden=(10, 8), proj_hidden=8, embed_dim=4)
-    state = init_train_state(cfg, enc_cfg, total_steps=10)
+    state = init_train_state(cfg, total_steps=10)
     rng = make_rng(seed, 999)
     ds = synth_dataset(3, 8, 6, 6, 0.1, make_rng(seed, 55), channels=1)
     imgs = ds.images[rng.choice(24, 4, replace=False)]
@@ -137,7 +136,7 @@ def _fidelity_instance(seed):
     state.opt_probe = SgdState.init(state.probe, cfg.probe_lr, momentum=0.9)
     keys = rng.standard_normal((8, 4))
     state.queue.push(keys / np.linalg.norm(keys, axis=1, keepdims=True))
-    features = encode_batch(enc_cfg, state.theta_e, x_lab)[0]
+    features = encode_batch(state.enc_cfg, state.theta_e, x_lab)[0]
     for _ in range(15):
         probe_step(state, features, y_lab)
     return cfg, state, imgs, x_lab, y_lab
@@ -153,7 +152,7 @@ def test_criterion_4_hypergradient_fidelity():
         seed += 1
         cfg, state, imgs, x_lab, y_lab = _fidelity_instance(s)
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
-        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, info, theta_before, lr)
         scalar = collapsed_scalar(state.probe, info)
@@ -257,17 +256,16 @@ def test_criterion_9_stop_gradient_and_queue():
     cfg = RunConfig(classes=3, per_class=8, height=6, width=6, channels=1,
                     noise=0.1, hidden=(10, 8), proj_hidden=8, embed_dim=4,
                     queue_capacity=8, batch_size=4, epochs=1, seed=2)
-    enc_cfg = EncoderConfig(36, (10, 8), 8, 4)
-    state = init_train_state(cfg, enc_cfg, total_steps=5)
+    state = init_train_state(cfg, total_steps=5)
     ds = synth_dataset(3, 8, 6, 6, 0.1, make_rng(2, 55), channels=1)
     x = ds.images[:6].reshape(6, -1)
     y = ds.labels[:6]
     snapshot = state.theta_e.flat.copy()
     from cocor.bilevel import probe_ce
-    features = encode_batch(enc_cfg, state.theta_e, x)[0]
+    features = encode_batch(state.enc_cfg, state.theta_e, x)[0]
     for _ in range(5):
         probe_step(state, features, y)
-    probe_ce(enc_cfg, state.theta_e, state.probe, x, y, want_encoder_grad=True)
+    probe_ce(state.enc_cfg, state.theta_e, state.probe, x, y, want_encoder_grad=True)
     stop_grad_ok = bool(np.array_equal(state.theta_e.flat, snapshot))
 
     # queue semantics: FIFO order, capacity bound, unit-norm admission

@@ -11,12 +11,12 @@ from cocor import bilevel, gradsuite, harness, pmnn
 from cocor.augment import (POOL_SIZE, BasicTransform, TransformId, apply_composite,
                            composition_vector, sample_composite)
 from cocor.bilevel import (ROLE_COMPOSITE, ROLE_QUERY, StepInfo, build_step_batch,
-                           collapsed_scalar, dacl, deviation_gap_coefficient, encoder_config,
+                           collapsed_scalar, dacl, deviation_gap_coefficient,
                            encoder_step, hypergradient_oracle, init_train_state, pmnn_step,
                            probe_ce, probe_step, train, unsup_eval, warm_up_queue)
 from cocor.config import RunConfig
 from cocor.data import synth_dataset, weak_augment
-from cocor.encoder import EncoderConfig, encode_batch
+from cocor.encoder import encode_batch
 from cocor.losses import NegativeQueue
 from cocor.numcore import ParamSet, SgdState, make_rng, sigmoid
 from test_acceptance import TREND_CONFIG, _fidelity_instance
@@ -28,9 +28,7 @@ TINY = dict(classes=3, per_class=8, height=6, width=6, channels=1, noise=0.1,
 
 def tiny_instance(seed, **overrides):
     cfg = RunConfig(**{**TINY, **overrides, "seed": seed})
-    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
-    state = init_train_state(cfg, enc_cfg, total_steps=10)
+    state = init_train_state(cfg, total_steps=10)
     rng = make_rng(seed, 999)
     state.probe = ParamSet({"w": rng.standard_normal((8, cfg.classes)) * 0.5,
                             "b": rng.standard_normal(cfg.classes) * 0.1})
@@ -75,7 +73,7 @@ class TestEncoderStep:
                                total_steps=0, buffers=np.zeros_like(state.theta_e.flat))
         before = state.theta_e.copy()
         fill0 = state.queue.fill
-        encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        encoder_step(state, cfg, imgs, (x_lab, y_lab))
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
         assert state.queue.fill == fill0 + cfg.batch_size
@@ -84,12 +82,12 @@ class TestEncoderStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(2)
         state.queue = NegativeQueue(cfg.queue_capacity, cfg.embed_dim)
         with pytest.raises(RuntimeError):
-            encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+            encoder_step(state, cfg, imgs, (x_lab, y_lab))
 
     def test_descent_at_small_lr(self):
         for lr in (1e-3, 1e-4):
             cfg, state, imgs, x_lab, y_lab = tiny_instance(3, eta_e=lr)
-            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
             assert info.after.lu < info.before.lu, lr
 
     def test_pre_step_encoder_is_freed_when_the_step_returns(self, monkeypatch):
@@ -112,7 +110,7 @@ class TestEncoderStep:
     def test_momentum_encoder_tracks_query(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(4)
         theta_k_before = state.theta_k.copy()
-        encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        encoder_step(state, cfg, imgs, (x_lab, y_lab))
         m = cfg.momentum_coef
         for name in theta_k_before.names():
             expected = m * theta_k_before[name] + (1.0 - m) * state.theta_e[name]
@@ -127,15 +125,21 @@ class TestUnsupEval:
         assert encode_batch(state.enc_cfg, state.theta_e, zeros)[2].zero_norm.all()
         counts = []
         for labeled in (no_labeled_rows(cfg), (zeros, y_lab)):
-            batch = build_step_batch(state, cfg, imgs, labeled, step_tag=0)
+            batch = build_step_batch(state, cfg, imgs, labeled)
             counts.append(unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
                                      want_grad=False)[0].zero_norms)
         assert counts[1] == counts[0]
 
+    def test_want_grad_is_keyword_only(self):
+        cfg, state, imgs, x_lab, y_lab = tiny_instance(16)
+        batch = build_step_batch(state, cfg, imgs, (x_lab, y_lab))
+        with pytest.raises(TypeError):
+            unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg, False)
+
     @pytest.mark.parametrize("variant", ["abs", "softplus"])
     def test_loss_only_call_matches_gradient_call_bitwise(self, variant):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(16, variant=variant, lengths=(1, 2, 3))
-        batch = build_step_batch(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        batch = build_step_batch(state, cfg, imgs, (x_lab, y_lab))
         (full, grads), (loss_only, none) = (unsup_eval(state.enc_cfg, state.theta_e, batch,
                                                        state.queue, cfg, want_grad=want_grad)
                                             for want_grad in (True, False))
@@ -151,7 +155,7 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(6)
         # the same labeled features before and after -> CE' == CE exactly;
         # fake a loss drop so the denominator guard does not trigger.
-        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
         info = StepInfo(
             batch=batch_info.batch,
             before=dataclasses.replace(batch_info.before, lu=1.5, simi=0.3, k_pooled=0.1,
@@ -166,7 +170,7 @@ class TestPmnnStep:
 
     def test_guard_skips_update_and_counts(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(7)
-        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        batch_info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
         info = dataclasses.replace(batch_info, after=dataclasses.replace(
             batch_info.after, lu=batch_info.before.lu + 1e-12))
         theta_d_before = state.theta_d.copy()
@@ -178,7 +182,7 @@ class TestPmnnStep:
 
     def test_update_parallel_to_mean_prediction_gradient(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(8)
-        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
         theta_d_before = state.theta_d.copy()
         grad_g = pmnn.grad_wrt_params(state.theta_d, info.batch.v).flat
         scalar = collapsed_scalar(state.probe, info)
@@ -192,15 +196,15 @@ class TestPmnnStep:
         cfg, state, imgs, x_lab, y_lab = tiny_instance(9)
         rng = make_rng(81)
         for step in range(5):
-            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=step)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
             pmnn_step(state, info)
         for _ in range(100):
             v = rng.integers(0, 9, size=14)
             i = int(rng.integers(0, 14))
             bumped = v.copy()
             bumped[i] += 1
-            assert (pmnn.predict_batch(state.theta_d, bumped)
-                    <= pmnn.predict_batch(state.theta_d, v) + 1e-12)
+            assert (pmnn.predict_batch(state.theta_d, bumped[None])
+                    <= pmnn.predict_batch(state.theta_d, v[None]) + 1e-12)
 
 
 class TestProbeStep:
@@ -288,7 +292,7 @@ class TestOracle:
     def test_oracle_vector_is_scalar_times_mean_grad(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(14)
         theta_before, lr = state.theta_e, state.opt_e.current_lr()
-        info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+        info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
         oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
             state, info, theta_before, lr)
         np.testing.assert_allclose(oracle_grad.flat,
@@ -307,7 +311,7 @@ class TestOracle:
         for seed in range(30):
             cfg, state, imgs, x_lab, y_lab = _fidelity_instance(seed)
             theta_before, lr = state.theta_e, state.opt_e.current_lr()
-            info = encoder_step(state, cfg, imgs, (x_lab, y_lab), step_tag=0)
+            info = encoder_step(state, cfg, imgs, (x_lab, y_lab))
             oracle_grad, oracle_scalar, grad_g = hypergradient_oracle(
                 state, info, theta_before, lr)
             scalar = collapsed_scalar(state.probe, info)
@@ -382,7 +386,7 @@ class TestDacl:
 
     def test_batched_matches_per_pair_definition(self, monkeypatch):
         cfg = dataclasses.replace(TREND_CONFIG, lengths=(1, 2, 3))
-        state = init_train_state(cfg, encoder_config(cfg), total_steps=1)
+        state = init_train_state(cfg, total_steps=1)
         ds = synth_dataset(cfg.classes, 4, cfg.height, cfg.width, cfg.noise,
                            make_rng(cfg.seed, 55), channels=1)
         encodes, predicts = [], []
@@ -417,9 +421,7 @@ VIEW_CFG = dict(classes=3, per_class=6, height=7, width=9, noise=0.1, hidden=(10
 
 def view_instance(seed, channels):
     cfg = RunConfig(**VIEW_CFG, channels=channels, seed=seed)
-    enc_cfg = EncoderConfig(input_dim=cfg.input_dim, hidden=cfg.hidden,
-                            proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
-    state = init_train_state(cfg, enc_cfg, total_steps=10)
+    state = init_train_state(cfg, total_steps=10)
     ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width, cfg.noise,
                        make_rng(seed, 55), channels=channels)
     return cfg, state, ds.images[:cfg.batch_size]
@@ -445,7 +447,8 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("seed,channels", sorted(RECORDED))
     def test_views_match_recorded_output(self, seed, channels):
         cfg, state, imgs = view_instance(seed, channels)
-        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg), step_tag=7)
+        state.step = 7
+        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg))
         q, a, lab = b.starts()
         assert (_sha256(b.x[:q], b.x[a:lab], b.v, b.lengths)
                 == self.RECORDED[seed, channels])
@@ -453,7 +456,8 @@ class TestBuildStepBatch:
     @pytest.mark.parametrize("channels", (1, 3))
     def test_each_sample_equals_its_batch_of_one(self, channels):
         cfg, state, imgs = view_instance(2**32 + 9, channels)
-        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg), step_tag=4)
+        state.step = 4
+        b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg))
         a = b.starts()[1]
         for i in range(imgs.shape[0]):
             path = (cfg.seed, 5, 4, i)
@@ -485,7 +489,7 @@ class TestWarmUp:
 
     @staticmethod
     def _warm(cfg):
-        state = init_train_state(cfg, bilevel.encoder_config(cfg), total_steps=1)
+        state = init_train_state(cfg, total_steps=1)
         warm_up_queue(state, cfg, harness.build_dataset(cfg).split_images("unlabeled_train"))
         return state.queue
 

@@ -184,7 +184,7 @@ class TestLinearEval:
         ds = Dataset(images=ds.images, labels=shuffled, classes=cfg.classes,
                      splits=ds.splits)
         enc_cfg = EncoderConfig(cfg.input_dim, cfg.hidden, cfg.proj_hidden, cfg.embed_dim)
-        theta = init_train_state(cfg, enc_cfg, 1).theta_e
+        theta = init_train_state(cfg, 1).theta_e
         acc = linear_eval(enc_cfg, theta, ds, cfg, seed=0)
         assert abs(acc - 0.25) < 0.05
 
@@ -193,7 +193,7 @@ class TestLinearEval:
         ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width, 0.0,
                            make_rng(14, 100))
         enc_cfg = EncoderConfig(cfg.input_dim, cfg.hidden, cfg.proj_hidden, cfg.embed_dim)
-        theta = init_train_state(cfg, enc_cfg, 1).theta_e
+        theta = init_train_state(cfg, 1).theta_e
         assert linear_eval(enc_cfg, theta, ds, cfg, seed=0) == 1.0
 
     def test_deterministic_and_read_only(self):
@@ -201,7 +201,7 @@ class TestLinearEval:
         ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width,
                            cfg.noise, make_rng(15, 100))
         enc_cfg = EncoderConfig(cfg.input_dim, cfg.hidden, cfg.proj_hidden, cfg.embed_dim)
-        theta = init_train_state(cfg, enc_cfg, 1).theta_e
+        theta = init_train_state(cfg, 1).theta_e
         snapshot = theta.flat.copy()
         a1 = linear_eval(enc_cfg, theta, ds, cfg, seed=7)
         a2 = linear_eval(enc_cfg, theta, ds, cfg, seed=7)

@@ -2,9 +2,9 @@
 never reads, no private module-level function or class that its module never
 references, no function parameter that its function never reads, no public
 definition that only tests read, no dataclass field that nothing reads, no
-returned value that every caller drops, and no local, in the package, the
-benchmark or the tests, that is assigned and never read. Only the standard
-library's ``ast`` is used."""
+returned value that every caller drops, no local, in the package, the
+benchmark or the tests, that is assigned and never read, and no array
+conversion in the inner layers. Only the standard library's ``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -197,3 +197,31 @@ def test_no_local_assigned_and_never_read():
                            for target in node.targets if isinstance(target, ast.Name)
                            and not target.id.startswith("_") and target.id not in reads]
     assert not unread, f"locals assigned and never read: {unread}"
+
+
+# arrays take their form at the boundary (Dataset, the readers, ParamSet,
+# apply_basic, pmnn's count matrices); the layers below it never convert again
+INNER = ("bilevel.py", "encoder.py", "losses.py")
+CONVERTERS = {"asarray", "asanyarray", "atleast_1d", "atleast_2d"}
+
+
+def _converting_scopes(tree: ast.Module, module: str) -> set[str]:
+    """Dotted names of the functions, classes or module whose own code calls
+    one of ``CONVERTERS``."""
+    found, todo = set(), [(tree, module)]
+    while todo:
+        node, scope = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in CONVERTERS
+                or isinstance(node.func, ast.Name) and node.func.id in CONVERTERS):
+            found.add(scope)
+        todo += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_inner_layers_do_not_convert():
+    found = sorted(set().union(*(_converting_scopes(_parse(SRC / name), name[:-3])
+                                 for name in INNER)))
+    assert not found, f"inner layers that convert their array inputs: {found}"

@@ -23,11 +23,9 @@ def unit_rows(rng, n, dim):
 class TestQueue:
     def test_fifo_eviction(self):
         q = NegativeQueue(capacity=2, dim=3)
-        a, b, c = np.eye(3)
-        q.push(a)
-        q.push(b)
-        q.push(c)
-        np.testing.assert_array_equal(q.as_matrix(), np.stack([b, c]))
+        for i in range(3):
+            q.push(np.eye(3)[i:i + 1])
+        np.testing.assert_array_equal(q.as_matrix(), np.eye(3)[1:])
 
     def test_full_batch_replaces_contents(self):
         rng = make_rng(30)
@@ -82,6 +80,12 @@ class TestQueue:
         q = NegativeQueue(capacity=2, dim=3)
         with pytest.raises(ValueError):
             q.push(np.array([[1.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("rows", [np.eye(3)[0], np.eye(4)[:2]], ids=["1-D", "wide"])
+    def test_rows_of_another_shape_rejected(self, rows):
+        q = NegativeQueue(capacity=2, dim=3)
+        with pytest.raises(ValueError):
+            q.push(rows)
 
     def test_single_push_larger_than_capacity(self):
         rng = make_rng(96)

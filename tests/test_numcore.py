@@ -359,26 +359,32 @@ SEED_PATHS = [
 ]
 
 
+def _word_count(path):
+    """Entropy words a seed path assembles: 32 bits each, at least one per entry."""
+    return sum(max(1, -(-n.bit_length() // 32)) for n in path)
+
+
 class TestPathRngs:
     @pytest.mark.parametrize("path", SEED_PATHS)
     def test_key_equals_numpy_seed_sequence(self, path):
         oracle = np.random.Philox(np.random.SeedSequence(path)).state["state"]["key"]
         np.testing.assert_array_equal(philox_keys([path])[0], oracle)
 
-    def test_mixed_path_lengths_in_one_call(self):
-        keys = philox_keys(SEED_PATHS)
-        assert keys.shape == (len(SEED_PATHS), 2) and keys.dtype == np.uint64
-        for path, key in zip(SEED_PATHS, keys):
-            oracle = np.random.Philox(np.random.SeedSequence(path)).state["state"]["key"]
-            np.testing.assert_array_equal(key, oracle)
-
     def test_draws_equal_make_rng(self):
-        for path, rng in zip(SEED_PATHS, path_rngs(SEED_PATHS), strict=True):
-            ref = make_rng(*path)
-            assert rng.random() == ref.random()
-            np.testing.assert_array_equal(rng.integers(0, 14, size=3),
-                                          ref.integers(0, 14, size=3))
-            np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+        # one call takes paths of one word count
+        for count in {_word_count(p) for p in SEED_PATHS}:
+            paths = [p for p in SEED_PATHS if _word_count(p) == count]
+            for path, rng in zip(paths, path_rngs(paths), strict=True):
+                ref = make_rng(*path)
+                assert rng.random() == ref.random()
+                np.testing.assert_array_equal(rng.integers(0, 14, size=3),
+                                              ref.integers(0, 14, size=3))
+                np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+    def test_unequal_word_counts_rejected(self):
+        # (0, 0) is two entropy words, (2**32, 5) is three
+        with pytest.raises(ValueError):
+            philox_keys([(0, 0), (2**32, 5)])
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):

@@ -22,8 +22,8 @@ class TestMonotonicity:
             i = int(rng.integers(0, 14))
             bumped = v.copy()
             bumped[i] += 1
-            assert (pmnn.predict_batch(params, bumped)
-                    <= pmnn.predict_batch(params, v) + 1e-12)
+            assert (pmnn.predict_batch(params, bumped[None])
+                    <= pmnn.predict_batch(params, v[None]) + 1e-12)
 
     def test_componentwise_chain_property(self):
         rng = make_rng(22)
@@ -33,8 +33,8 @@ class TestMonotonicity:
             extra = rng.integers(0, 3, size=14)
             if extra.sum() == 0:
                 extra[int(rng.integers(0, 14))] = 1
-            assert (pmnn.predict_batch(params, v + extra)
-                    <= pmnn.predict_batch(params, v) + 1e-12)
+            assert (pmnn.predict_batch(params, (v + extra)[None])
+                    <= pmnn.predict_batch(params, v[None]) + 1e-12)
 
 
 class TestForward:
@@ -51,8 +51,8 @@ class TestForward:
             "w3": np.array([[on]]), "b3": np.zeros(1),
         })
         assert softplus(np.array(off)) == 0.0
-        v = np.zeros(14)
-        v[0] = 1
+        v = np.zeros((1, 14))
+        v[0, 0] = 1
         expected = math.tanh(1.0 * math.tanh(1.0 * math.tanh(-1.0)))
         assert abs(pmnn.predict_batch(params, v)[0] - expected) < 1e-15
 

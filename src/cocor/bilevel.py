@@ -97,14 +97,13 @@ class StepBatch:
 
     x: np.ndarray
     z_keys: np.ndarray          # momentum-encoder embeddings, one per query row; constants
-    v: np.ndarray               # (pairs, POOL_SIZE) composition vectors
-    lengths: np.ndarray         # (pairs,) composite lengths
+    v: np.ndarray               # (pairs, POOL_SIZE) composition vectors; a row sums to its length
     y: np.ndarray               # labels of the labeled rows
     g: np.ndarray               # (pairs,) predicted deviations, the consistency targets
 
     def starts(self) -> tuple[int, int, int]:
         """First row of the raw, the augmented and the labeled rows."""
-        q, p = self.z_keys.shape[0], self.lengths.size
+        q, p = self.z_keys.shape[0], self.v.shape[0]
         return q, q + p, q + 2 * p
 
 
@@ -175,7 +174,7 @@ def build_step_batch(state: TrainState, cfg: RunConfig, imgs: np.ndarray,
 
     _, z_keys, _ = encode_batch(state.enc_cfg, state.theta_k, _flatten(views[n:]))
     x = np.concatenate([_flatten(views[:n]), _flatten(imgs), _flatten(augmented), x_labeled])
-    return StepBatch(x=x, z_keys=z_keys, v=v, lengths=v.sum(axis=1), y=y, g=state.predict(v))
+    return StepBatch(x=x, z_keys=z_keys, v=v, y=y, g=state.predict(v))
 
 
 _CONSISTENCY_LOSSES = {"abs": consistency_loss_abs, "softplus": consistency_loss_softplus}
@@ -199,15 +198,14 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue:
     omega = np.add.reduce(z_raw * z_aug, axis=1)   # as np.sum
     simi = mean(omega)
     lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
-        omega, batch.g, batch.lengths, want_grad)
+        omega, batch.g, batch.v.sum(axis=1), want_grad)
     lu = lc + lcons
     k_pooled = mean(omega - batch.g)
     zero_norms = int(np.count_nonzero(cache.zero_norm[:lab]))
 
     grads = None
     if want_grad:
-        grads = theta.zeros_like()
-        encode_backward(enc_cfg, theta, cache.rows(0, r), d_z=d_zq, out=grads)
+        grads = encode_backward(enc_cfg, theta, cache.rows(0, r), d_z=d_zq)
         encode_backward(enc_cfg, theta, cache.rows(r, a), d_z=d_omega[:, None] * z_aug,
                         out=grads)
         encode_backward(enc_cfg, theta, cache.rows(a, lab), d_z=d_omega[:, None] * z_raw,
@@ -361,9 +359,14 @@ def encoder_config(cfg: RunConfig) -> EncoderConfig:
                          proj_hidden=cfg.proj_hidden, embed_dim=cfg.embed_dim)
 
 
-def init_train_state(cfg: RunConfig, total_steps: int) -> TrainState:
+def initial_encoder(cfg: RunConfig) -> tuple[EncoderConfig, ParamSet]:
+    """The encoder widths of ``cfg`` and the parameters every run of it starts from."""
     enc_cfg = encoder_config(cfg)
-    theta_e = init_encoder_params(enc_cfg, make_rng(cfg.seed, STREAM_INIT_ENCODER))
+    return enc_cfg, init_encoder_params(enc_cfg, make_rng(cfg.seed, STREAM_INIT_ENCODER))
+
+
+def init_train_state(cfg: RunConfig, total_steps: int) -> TrainState:
+    enc_cfg, theta_e = initial_encoder(cfg)
     theta_d = (pmnn.init_pmnn_params(make_rng(cfg.seed, STREAM_INIT_PMNN), cfg.pmnn_hidden)
                if cfg.use_pmnn else None)
     probe = ParamSet({"w": np.zeros((enc_cfg.feature_dim, cfg.classes)),
@@ -477,10 +480,11 @@ def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRec
             del info
 
         if per_epoch:
-            # last_batch is set: train rejects an unlabeled split under one batch
+            # last_batch is set: train rejects an unlabeled split under one batch.
+            # The steps' labeled draws take keys 1 .. epochs * steps_per_epoch.
             pmnn_step(state, _epoch_pair_info(
                 state, cfg, epoch_start_theta, last_batch,
-                labeled_batch(cfg.epochs * steps_per_epoch + epoch)))
+                labeled_batch(cfg.epochs * steps_per_epoch + 1 + epoch)))
 
         if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))

@@ -19,7 +19,7 @@ from . import bilevel, gradsuite, harness
 from ._util import ConfigError, atomic_write_text
 from .augment import (BasicTransform, TransformId, apply_basic, apply_composite,
                       sample_composite)
-from .config import RunConfig, apply_overrides, load_config, resolved_text
+from .config import VARIANTS, RunConfig, apply_overrides, load_config, resolved_text
 from .data import synth_dataset, write_idx
 from .encoder import load_checkpoint, save_checkpoint
 from .numcore import ParamSet, make_rng
@@ -33,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--epochs", type=int, help="training epochs override")
     parser.add_argument("--lengths", help="comma-separated composite lengths")
-    parser.add_argument("--variant", choices=("abs", "softplus"),
+    parser.add_argument("--variant", choices=VARIANTS,
                         help="consistency loss variant")
     parser.add_argument("--labeled-frac", type=float, dest="labeled_frac")
     parser.add_argument("--queue", type=int, dest="queue_capacity",

@@ -208,16 +208,16 @@ def weak_augment(imgs: np.ndarray, rngs) -> np.ndarray:
     + pixel noise (sigma 0.02), clamped to [0, 1], for an (N, H, W, C) batch.
 
     ``rngs`` yields one generator per raster; raster i's draws come from the
-    i-th, in the order flip, jitter, noise.
+    i-th: one uniform row (flip, then one jitter per channel), then the noise.
     """
     n, _, _, channels = imgs.shape
-    flip = np.empty(n, dtype=bool)
-    jitter = np.empty((n, channels))
+    u = np.empty((n, 1 + channels))
     noise = np.empty(imgs.shape)
     for i, rng in zip(range(n), rngs, strict=True):
-        flip[i] = rng.random() < 0.5
-        jitter[i] = rng.uniform(-0.2, 0.2, size=channels)
+        rng.random(out=u[i])
         rng.standard_normal(out=noise[i])
+    flip = u[:, 0] < 0.5
+    jitter = -0.2 + 0.4 * u[:, 1:]   # as rng.uniform(-0.2, 0.2): low + (high - low) * u
     out = imgs.copy()
     out[flip] = imgs[flip, :, ::-1]
     out += jitter[:, None, None, :]

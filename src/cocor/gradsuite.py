@@ -42,7 +42,7 @@ def check_contrastive(seed: int) -> float:
 
     def loss_fn(p: ParamSet) -> float:
         _, z, _ = encode_batch(TINY_ENC, p, x_query)
-        return contrastive_loss(z, z_keys, queue, tau)[0]
+        return contrastive_loss(z, z_keys, queue, tau, want_grad=False)[0]
 
     _, z, cache = encode_batch(TINY_ENC, params, x_query)
     _, d_z = contrastive_loss(z, z_keys, queue, tau)
@@ -130,9 +130,8 @@ def check_total_unsup(seed: int) -> float:
     consistency, three encoder backward passes), for both variants."""
     _, params, x_query, x_raw, x_aug, z_keys, queue = _tiny_setup(seed)
     batch = bilevel.StepBatch(x=np.concatenate([x_query, x_raw, x_aug]), z_keys=z_keys,
-                              v=np.zeros((3, POOL_SIZE), dtype=np.int64),
-                              lengths=np.array([1, 2, 1]), y=np.zeros(0, dtype=np.int64),
-                              g=np.array([0.4, 0.1, 0.5]))
+                              v=np.eye(3, POOL_SIZE, dtype=np.int64) * [[1], [2], [1]],
+                              y=np.zeros(0, dtype=np.int64), g=np.array([0.4, 0.1, 0.5]))
 
     def error(variant: str) -> float:
         cfg = RunConfig(variant=variant)

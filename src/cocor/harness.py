@@ -19,7 +19,7 @@ from . import bilevel
 from ._util import ConfigError, atomic_write_bytes, atomic_write_text
 from .config import RunConfig
 from .data import Dataset, load_idx, resplit, synth_dataset
-from .encoder import EncoderConfig, encode_features, init_encoder_params
+from .encoder import EncoderConfig, encode_features
 from .numcore import ParamSet, SgdState, make_rng, sgd_step
 
 STREAM_EVAL = 8
@@ -77,9 +77,8 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
 
 
 def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int) -> float:
-    """Linear probe on a freshly initialized, untrained encoder."""
-    enc_cfg = bilevel.encoder_config(cfg)
-    theta = init_encoder_params(enc_cfg, make_rng(cfg.seed, bilevel.STREAM_INIT_ENCODER))
+    """Linear probe on the untrained encoder that training on ``cfg`` starts from."""
+    enc_cfg, theta = bilevel.initial_encoder(cfg)
     return linear_eval(enc_cfg, theta, dataset, cfg, seed=seed)
 
 

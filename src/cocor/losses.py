@@ -19,19 +19,16 @@ UNIT_NORM_TOL = 1e-6
 
 
 class NegativeQueue:
-    """Fixed-capacity FIFO of unit-norm embeddings, held as one read-only
-    array of its rows, oldest first, that each push replaces."""
+    """Fixed-capacity FIFO of unit-norm embeddings. ``rows`` is its whole
+    content: one read-only (fill, dim) array, oldest first, that each push
+    replaces."""
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1 or dim < 1:
             raise ValueError("capacity and dim must be >= 1")
         self.capacity = capacity
         self.dim = dim
-        self._rows = np.zeros((0, dim))
-
-    @property
-    def fill(self) -> int:
-        return self._rows.shape[0]
+        self.rows = np.zeros((0, dim))
 
     def push(self, embeddings: np.ndarray) -> None:
         """Append rows, evicting the oldest entries past capacity."""
@@ -41,14 +38,9 @@ class NegativeQueue:
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"queue admits unit-norm embeddings only (off by {worst:.2e})")
-        # a new array: one handed out by as_matrix is never written
-        self._rows = np.concatenate((self._rows, embeddings))[-self.capacity:]
-        self._rows.flags.writeable = False
-
-    def as_matrix(self) -> np.ndarray:
-        """Current contents, oldest first, shape (fill, dim): one read-only
-        array, shared by every call until the next push."""
-        return self._rows
+        # a new array: one a reader already holds is never written
+        self.rows = np.concatenate((self.rows, embeddings))[-self.capacity:]
+        self.rows.flags.writeable = False
 
 
 def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
@@ -61,11 +53,11 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    if queue.fill < 1:
+    negs = queue.rows
+    if negs.shape[0] < 1:
         raise RuntimeError("contrastive loss requires a non-empty queue")
     if z.ndim != 2 or z.shape != z_pos.shape:
         raise ValueError("query and positive batches must be 2-D with equal shapes")
-    negs = queue.as_matrix()
 
     pos_logits = np.add.reduce(z * z_pos, axis=1) / tau     # (B,), as np.sum
     neg_logits = (z @ negs.T) / tau                          # (B, N)

@@ -29,6 +29,9 @@ def make_rng(*entropy: int) -> np.random.Generator:
 
     ``make_rng(master, stream, epoch, ...)`` gives a Philox (counter-based)
     generator that depends only on the path, never on call order.
+    SeedSequence pads a path with zero words up to its four-word pool, so
+    ``make_rng(3, 4)`` and ``make_rng(3, 4, 0)`` are one generator: two
+    draws that must differ need a differing non-zero entry.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

@@ -93,7 +93,7 @@ def test_criterion_3_loss_oracles():
     loss, _ = contrastive_loss(z, z_pos, queue, tau)
     per_sample = []
     for i in range(4):
-        logits = np.concatenate([[z[i] @ z_pos[i]], queue.as_matrix() @ z[i]]) / tau
+        logits = np.concatenate([[z[i] @ z_pos[i]], queue.rows @ z[i]]) / tau
         m = logits.max()
         per_sample.append(-(logits[0] - m - math.log(np.sum(np.exp(logits - m)))))
     oracle_gap = abs(loss - float(np.mean(per_sample)))
@@ -279,8 +279,8 @@ def test_criterion_9_stop_gradient_and_queue():
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         q.push(batch)
         oracle.extend(batch)
-        fifo_ok = fifo_ok and np.array_equal(q.as_matrix(), np.stack(list(oracle)))
-        fifo_ok = fifo_ok and q.fill <= q.capacity
+        fifo_ok = fifo_ok and np.array_equal(q.rows, np.stack(list(oracle)))
+        fifo_ok = fifo_ok and len(q.rows) <= q.capacity
     try:
         q.push(np.array([[2.0, 0.0, 0.0]]))
         admission_ok = False

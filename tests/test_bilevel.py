@@ -72,11 +72,11 @@ class TestEncoderStep:
         state.opt_e = SgdState(base_lr=0.0, momentum=0.9, weight_decay=0.0, step=0,
                                total_steps=0, buffers=np.zeros_like(state.theta_e.flat))
         before = state.theta_e.copy()
-        fill0 = state.queue.fill
+        fill0 = len(state.queue.rows)
         encoder_step(state, cfg, imgs, (x_lab, y_lab))
         for name in before.names():
             np.testing.assert_array_equal(state.theta_e[name], before[name])
-        assert state.queue.fill == fill0 + cfg.batch_size
+        assert len(state.queue.rows) == fill0 + cfg.batch_size
 
     def test_requires_nonempty_queue(self):
         cfg, state, imgs, x_lab, y_lab = tiny_instance(2)
@@ -435,8 +435,9 @@ def _sha256(*arrays):
 
 
 class TestBuildStepBatch:
-    # sha256 of (x_query, x_aug, v, lengths) from the per-sample implementation,
-    # recorded before view construction was batched; pixel math only, no BLAS
+    # sha256 of (x_query, x_aug, v, composite lengths) from the per-sample
+    # implementation, recorded before view construction was batched; pixel
+    # math only, no BLAS
     RECORDED = {
         (3, 1): "e37a0a2ec998ad4291a79bfa6504e6981375682a704bf4f2d4a24aa8feee8232",
         (3, 3): "7197e7a957b1c90c9e79a4642df74cc3be0fa02ecec5ee69a26d4591330a6196",
@@ -450,7 +451,7 @@ class TestBuildStepBatch:
         state.step = 7
         b = build_step_batch(state, cfg, imgs, no_labeled_rows(cfg))
         q, a, lab = b.starts()
-        assert (_sha256(b.x[:q], b.x[a:lab], b.v, b.lengths)
+        assert (_sha256(b.x[:q], b.x[a:lab], b.v, b.v.sum(axis=1))
                 == self.RECORDED[seed, channels])
 
     @pytest.mark.parametrize("channels", (1, 3))
@@ -470,7 +471,7 @@ class TestBuildStepBatch:
             np.testing.assert_array_equal(b.x[a + i],
                                           apply_composite([comp], one).reshape(-1))
             np.testing.assert_array_equal(b.v[i], composition_vector([comp])[0])
-            assert b.lengths[i] == len(comp)
+            assert b.v[i].sum() == len(comp)
 
 
 class TestWarmUp:
@@ -496,7 +497,7 @@ class TestWarmUp:
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_queue_matches_recorded_digest(self, name):
         cfg = TREND_CONFIG if name == "trend" else self.CRIT8
-        rows = self._warm(cfg).as_matrix()
+        rows = self._warm(cfg).rows
         shape, digest = self.RECORDED[name]
         assert rows.shape == shape
         assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
@@ -510,7 +511,7 @@ class TestWarmUp:
             real(queue, rows)
 
         monkeypatch.setattr(NegativeQueue, "push", counted)
-        assert self._warm(self.CRIT8).fill == 20
+        assert len(self._warm(self.CRIT8).rows) == 20
         assert pushes == [24]  # three batches of 8, one push
 
 
@@ -529,7 +530,7 @@ class TestTrain:
         state, metrics = train(cfg, self._dataset(cfg))
         assert metrics == []
         assert state.step == 0
-        assert state.queue.fill == 0
+        assert len(state.queue.rows) == 0
 
     def test_deterministic_across_runs(self):
         cfg = self._cfg()
@@ -650,3 +651,39 @@ class TestTrain:
             assert seen == {str(l) for l in cfg.lengths}
         epochs = [m for m in metrics if m.record_type == "epoch"]
         assert len(epochs) == 1 and np.isfinite(epochs[0].dacl)
+
+
+class TestSeedPaths:
+    @staticmethod
+    def _trimmed(path):
+        # SeedSequence pads a path with zero words, so (5, 6, 6) and
+        # (5, 6, 6, 0) are one generator; trimming every trailing zero is the
+        # stricter reading
+        path = tuple(int(n) for n in path)
+        while path and path[-1] == 0:
+            path = path[:-1]
+        return path
+
+    @pytest.mark.parametrize("alternation", ["iteration", "epoch"])
+    def test_no_seed_path_repeats_in_a_run(self, monkeypatch, alternation):
+        cfg = RunConfig(**{**TINY, "per_class": 16, "queue_capacity": 8, "epochs": 2,
+                           "seed": 3, "alternation": alternation})
+        ds = synth_dataset(cfg.classes, cfg.per_class, cfg.height, cfg.width, cfg.noise,
+                           make_rng(cfg.seed, 100), channels=cfg.channels,
+                           labeled_frac=cfg.labeled_frac)
+        paths = []
+        real_make_rng, real_path_rngs = bilevel.make_rng, bilevel.path_rngs
+
+        def recorded_make_rng(*path):
+            paths.append(self._trimmed(path))
+            return real_make_rng(*path)
+
+        def recorded_path_rngs(many):
+            paths.extend(map(self._trimmed, many))
+            return real_path_rngs(many)
+
+        monkeypatch.setattr(bilevel, "make_rng", recorded_make_rng)
+        monkeypatch.setattr(bilevel, "path_rngs", recorded_path_rngs)
+        train(cfg, ds)
+        repeated = sorted({p for p in paths if paths.count(p) > 1})
+        assert paths and not repeated, f"seed paths drawn more than once: {repeated}"

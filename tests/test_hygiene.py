@@ -3,8 +3,9 @@ never reads, no private module-level function or class that its module never
 references, no function parameter that its function never reads, no public
 definition that only tests read, no dataclass field that nothing reads, no
 returned value that every caller drops, no local, in the package, the
-benchmark or the tests, that is assigned and never read, and no array
-conversion in the inner layers. Only the standard library's ``ast`` is used."""
+benchmark or the tests, that is assigned and never read, no array
+conversion in the inner layers, and no getter. Only the standard library's
+``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -225,3 +226,19 @@ def test_inner_layers_do_not_convert():
     found = sorted(set().union(*(_converting_scopes(_parse(SRC / name), name[:-3])
                                  for name in INNER)))
     assert not found, f"inner layers that convert their array inputs: {found}"
+
+
+def _is_getter(func: ast.FunctionDef) -> bool:
+    """Whether the body, after its docstring, is only ``return self.<name>``."""
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    return (len(body) == 1 and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Attribute)
+            and isinstance(body[0].value.value, ast.Name) and body[0].value.value.id == "self")
+
+
+def test_no_getter():
+    # a value that a getter hands out is read where it lives
+    found = [f"{path.stem}.{cls.name}.{func.name}" for path in MODULES
+             for cls in _parse(path).body if isinstance(cls, ast.ClassDef)
+             for func in cls.body if isinstance(func, ast.FunctionDef) and _is_getter(func)]
+    assert not found, f"methods or properties that only return an attribute: {found}"

@@ -25,7 +25,7 @@ class TestQueue:
         q = NegativeQueue(capacity=2, dim=3)
         for i in range(3):
             q.push(np.eye(3)[i:i + 1])
-        np.testing.assert_array_equal(q.as_matrix(), np.eye(3)[1:])
+        np.testing.assert_array_equal(q.rows, np.eye(3)[1:])
 
     def test_full_batch_replaces_contents(self):
         rng = make_rng(30)
@@ -33,7 +33,7 @@ class TestQueue:
         q.push(unit_rows(rng, 4, 5))
         fresh = unit_rows(rng, 4, 5)
         q.push(fresh)
-        np.testing.assert_array_equal(q.as_matrix(), fresh)
+        np.testing.assert_array_equal(q.rows, fresh)
 
     def test_interleaved_matches_deque_oracle(self):
         rng = make_rng(31)
@@ -43,8 +43,8 @@ class TestQueue:
             batch = unit_rows(rng, int(rng.integers(1, 4)), 4)
             q.push(batch)
             oracle.extend(batch)
-            np.testing.assert_array_equal(q.as_matrix(), np.stack(list(oracle)))
-            assert q.fill <= q.capacity
+            np.testing.assert_array_equal(q.rows, np.stack(list(oracle)))
+            assert len(q.rows) <= q.capacity
 
     def test_deque_oracle_across_wrap_and_oversized_pushes(self):
         rng = make_rng(32)
@@ -56,23 +56,23 @@ class TestQueue:
             batch = unit_rows(rng, size, 4)
             q.push(batch)
             oracle.extend(batch)
-            np.testing.assert_array_equal(q.as_matrix(), np.stack(list(oracle)))
-            assert q.fill == len(oracle)
+            np.testing.assert_array_equal(q.rows, np.stack(list(oracle)))
+            assert len(q.rows) == len(oracle)
 
     @pytest.mark.parametrize("first", [2, 6], ids=["partial", "wrapped"])
     def test_snapshot_is_read_only_and_refreshed_by_push(self, first):
         rng = make_rng(33)
         q = NegativeQueue(capacity=4, dim=3)
         q.push(unit_rows(rng, first, 3))
-        snap = q.as_matrix()
-        assert q.as_matrix() is snap
+        snap = q.rows
+        assert q.rows is snap
         with pytest.raises(ValueError):
             snap[0, 0] = 0.0
         held = snap.copy()
         row = unit_rows(rng, 1, 3)
         q.push(row)
         np.testing.assert_array_equal(snap, held)  # a push never writes an old snapshot
-        fresh = q.as_matrix()
+        fresh = q.rows
         assert fresh is not snap
         np.testing.assert_array_equal(fresh, np.concatenate([held, row])[-4:])
 
@@ -92,7 +92,7 @@ class TestQueue:
         q = NegativeQueue(capacity=3, dim=4)
         batch = unit_rows(rng, 5, 4)
         q.push(batch)
-        np.testing.assert_array_equal(q.as_matrix(), batch[-3:])
+        np.testing.assert_array_equal(q.rows, batch[-3:])
 
     @pytest.mark.parametrize("capacity, batches", [(5, 1), (5, 2), (6, 3), (5, 3), (5, 4)],
                              ids=["below", "just-below", "at", "over", "twice-over"])
@@ -105,8 +105,8 @@ class TestQueue:
         one.push(np.concatenate(parts))
         for part in parts:
             each.push(part)
-        assert one.fill == each.fill == min(2 * batches, capacity)
-        assert one.as_matrix().tobytes() == each.as_matrix().tobytes()
+        assert len(one.rows) == len(each.rows) == min(2 * batches, capacity)
+        assert one.rows.tobytes() == each.rows.tobytes()
 
 
 class TestContrastive:
@@ -136,7 +136,7 @@ class TestContrastive:
         tau = 0.2
         loss, _ = contrastive_loss(z, z_pos, q, tau)
 
-        negs = q.as_matrix()
+        negs = q.rows
         per_sample = []
         for i in range(4):
             logits = np.concatenate([[z[i] @ z_pos[i]], negs @ z[i]]) / tau

@@ -389,3 +389,8 @@ class TestPathRngs:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             philox_keys([(1, -2)])
+
+    def test_trailing_zero_pads_the_path(self):
+        # SeedSequence pads a path with zero words: a trailing zero does not
+        # make a second generator
+        np.testing.assert_array_equal(make_rng(3, 4).random(5), make_rng(3, 4, 0).random(5))

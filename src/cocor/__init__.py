@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .augment import (BasicTransform, TransformId, apply_basic, apply_composite,
                       composition_vector, sample_composite)
-from .bilevel import (MetricsRecord, TrainState, collapsed_scalar, dacl,
+from .bilevel import (MetricsRecord, Run, TrainState, collapsed_scalar, dacl,
                       deviation_gap_coefficient, encoder_step, hypergradient_oracle,
                       pmnn_step, probe_step, train)
 from .config import ConfigError, RunConfig, load_config

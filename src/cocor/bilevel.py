@@ -218,7 +218,10 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue:
 def head_ce(head: ParamSet, features: np.ndarray,
             labels: np.ndarray) -> tuple[float, ParamSet]:
     """Cross-entropy of an affine head {"w", "b"} on fixed features, and its
-    gradient with respect to the head."""
+    gradient; it checks the labels that the probe and linear evaluation pass."""
+    c = head["b"].size
+    if labels.shape != features.shape[:1] or np.count_nonzero((labels < 0) | (labels >= c)):
+        raise ValueError(f"labels must be {features.shape[0]} values in [0, {c})")
     ce, d_logits = cross_entropy(features @ head["w"] + head["b"], labels)
     return ce, ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
 
@@ -417,107 +420,107 @@ def probe_accuracy(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
     return float(np.mean(np.argmax(features @ probe["w"] + probe["b"], axis=1) == labels))
 
 
-def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRecord]]:
-    """Run the full alternation; returns the final state and metrics stream.
+class Run:
+    """One training run, stepped by ``step()`` and ``end_epoch()``. Construction
+    validates, takes the splits, builds the state, warms the queue (if an epoch
+    is to run) and then starts the clock that each record's ``wall_clock`` reads."""
 
-    Per iteration (default alternation): encoder_step, probe_step, pmnn_step,
-    where the predictor update consumes exactly the encoder pair produced by
-    this iteration's step. The epoch alternation flag instead snapshots the
-    encoder at epoch boundaries and applies one predictor update per epoch.
-    """
-    cfg.validate()
-    if dataset.image_shape != (cfg.height, cfg.width, cfg.channels):
-        raise ConfigError(f"dataset shape {dataset.image_shape} does not match config "
-                          f"({cfg.height}, {cfg.width}, {cfg.channels})")
-    unlabeled = dataset.split_images("unlabeled_train")
-    labeled_x_all = _flatten(dataset.split_images("labeled_train"))
-    labeled_y_all = dataset.split_labels("labeled_train")
-    if unlabeled.shape[0] < cfg.batch_size:
-        raise ConfigError(f"unlabeled split smaller than batch_size = {cfg.batch_size}")
+    def __init__(self, cfg: RunConfig, dataset: Dataset):
+        cfg.validate()
+        if dataset.image_shape != (cfg.height, cfg.width, cfg.channels):
+            raise ConfigError(f"dataset shape {dataset.image_shape} does not match config "
+                              f"({cfg.height}, {cfg.width}, {cfg.channels})")
+        self.unlabeled = dataset.split_images("unlabeled_train")
+        self.labeled_x = _flatten(dataset.split_images("labeled_train"))
+        self.labeled_y = dataset.split_labels("labeled_train")
+        if self.unlabeled.shape[0] < cfg.batch_size:
+            raise ConfigError(f"unlabeled split smaller than batch_size = {cfg.batch_size}")
+        self.cfg = cfg
+        self.steps_per_epoch = self.unlabeled.shape[0] // cfg.batch_size
+        self.state = init_train_state(cfg, total_steps=cfg.epochs * self.steps_per_epoch)
+        self.records: list[MetricsRecord] = []
+        self.epoch = 0
+        # the predictor is updated after every "iteration", once an "epoch", or never
+        self.update = cfg.alternation if self.state.theta_d is not None else None
+        if cfg.epochs:
+            warm_up_queue(self.state, cfg, self.unlabeled)
+        self._t0 = time.monotonic()
 
-    steps_per_epoch = unlabeled.shape[0] // cfg.batch_size
-    state = init_train_state(cfg, total_steps=cfg.epochs * steps_per_epoch)
-    metrics: list[MetricsRecord] = []
-    if cfg.epochs == 0:
-        return state, metrics
+    def _labeled(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+        """Labeled draw ``key``: up to batch_size distinct rows and their labels."""
+        n = self.labeled_y.size
+        idx = make_rng(self.cfg.seed, STREAM_LABELED, key).choice(
+            n, size=min(self.cfg.batch_size, n), replace=False)
+        return self.labeled_x[idx], self.labeled_y[idx]
 
-    warm_up_queue(state, cfg, unlabeled)
-    # the predictor is updated after every step, once an epoch, or never
-    per_step = state.theta_d is not None and cfg.alternation == "iteration"
-    per_epoch = state.theta_d is not None and cfg.alternation == "epoch"
+    def step(self) -> None:
+        """One iteration on the epoch's next batch; appends its record."""
+        cfg, state = self.cfg, self.state
+        it = state.step - self.epoch * self.steps_per_epoch
+        if it == 0:
+            self._perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, self.epoch).permutation(
+                self.unlabeled.shape[0])
+            # never written in place: each sgd_step makes a new set
+            self._epoch_start_theta = state.theta_e if self.update == "epoch" else None
+        idx = self._perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
+        # steps draw labeled keys 1 .. epochs * steps_per_epoch: the count encoder_step reaches
+        info = encoder_step(state, cfg, self.unlabeled[idx], self._labeled(state.step + 1))
+        ce = probe_step(state, info.after.labeled_features, info.batch.y)
+        coefficient = None
+        if self.update == "iteration":
+            pmnn_step(state, info)
+            coefficient = deviation_gap_coefficient(info.before.k_pooled)
+        self.records.append(MetricsRecord(
+            record_type="iteration", epoch=self.epoch, step=state.step,
+            l_contrast=info.before.lc, l_consist=info.before.lcons,
+            l_u=info.before.lu, ce=ce,
+            k_by_length={str(k): v for k, v in info.before.k_by_length.items()},
+            coefficient=coefficient, guard_count=state.guard_count,
+            probe_acc=None, dacl=None, wall_clock=time.monotonic() - self._t0))
+        # only the epoch-level predictor update reads a step's views later
+        self._last_batch = info.batch if self.update == "epoch" else None
 
-    def labeled_batch(key: int) -> tuple[np.ndarray, np.ndarray]:
-        n = labeled_y_all.size
-        idx = make_rng(cfg.seed, STREAM_LABELED, key).choice(n, size=min(cfg.batch_size, n),
-                                                              replace=False)
-        return labeled_x_all[idx], labeled_y_all[idx]
-
-    t0 = time.monotonic()
-    for epoch in range(cfg.epochs):
-        perm = make_rng(cfg.seed, STREAM_EPOCH_PERM, epoch).permutation(unlabeled.shape[0])
-        # never written in place: each sgd_step makes a new set
-        epoch_start_theta = state.theta_e if per_epoch else None
-
-        for it in range(steps_per_epoch):
-            idx = perm[it * cfg.batch_size:(it + 1) * cfg.batch_size]
-            # the labeled batch is keyed by the step count encoder_step reaches
-            info = encoder_step(state, cfg, unlabeled[idx], labeled_batch(state.step + 1))
-            ce = probe_step(state, info.after.labeled_features, info.batch.y)
-            coefficient = None
-            if per_step:
-                pmnn_step(state, info)
-                coefficient = deviation_gap_coefficient(info.before.k_pooled)
-            metrics.append(MetricsRecord(
-                record_type="iteration", epoch=epoch, step=state.step,
-                l_contrast=info.before.lc, l_consist=info.before.lcons,
-                l_u=info.before.lu, ce=ce,
-                k_by_length={str(k): v for k, v in info.before.k_by_length.items()},
-                coefficient=coefficient, guard_count=state.guard_count,
-                probe_acc=None, dacl=None, wall_clock=time.monotonic() - t0))
-            # only the epoch-level predictor update reads a step's views
-            # later; drop them before the next step allocates its own
-            last_batch = info.batch if per_epoch else None
-            del info
-
-        if per_epoch:
-            # last_batch is set: train rejects an unlabeled split under one batch.
-            # The steps' labeled draws take keys 1 .. epochs * steps_per_epoch.
-            pmnn_step(state, _epoch_pair_info(
-                state, cfg, epoch_start_theta, last_batch,
-                labeled_batch(cfg.epochs * steps_per_epoch + 1 + epoch)))
+    def end_epoch(self) -> None:
+        """The epoch's predictor update, monotonicity check, probe accuracy, DACL and record."""
+        cfg, state, epoch = self.cfg, self.state, self.epoch
+        if self.update == "epoch":
+            # the epoch's (theta, theta') pair on the last batch: theta_d has not moved since
+            x_labeled, y = self._labeled(cfg.epochs * self.steps_per_epoch + 1 + epoch)
+            last = self._last_batch
+            batch = dataclasses.replace(
+                last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]), y=y)
+            before, _ = unsup_eval(state.enc_cfg, self._epoch_start_theta, batch, state.queue,
+                                   cfg, want_grad=False)
+            after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
+                                  want_grad=False)
+            pmnn_step(state, StepInfo(batch=batch, before=before, after=after))
 
         if state.theta_d is not None:
             _check_monotonic(state.theta_d, make_rng(cfg.seed, STREAM_DACL, epoch, 1))
 
-        acc = probe_accuracy(state.enc_cfg, state.theta_e, state.probe, labeled_x_all,
-                             labeled_y_all)
+        acc = probe_accuracy(state.enc_cfg, state.theta_e, state.probe, self.labeled_x,
+                             self.labeled_y)
         dacl_val = dacl(state.enc_cfg, state.theta_e, state.predict,
-                        *_dacl_probe_set(cfg, unlabeled, epoch))
+                        *_dacl_probe_set(cfg, self.unlabeled, epoch))
         # a loss averages over the epoch's steps, k_l over the steps that drew length l
-        rows = metrics[-steps_per_epoch:]
+        rows = self.records[-self.steps_per_epoch:]
         lengths = sorted({k for r in rows for k in r.k_by_length})
-        metrics.append(MetricsRecord(
+        self.records.append(MetricsRecord(
             record_type="epoch", epoch=epoch, step=state.step,
             **{f: float(np.mean([getattr(r, f) for r in rows]))
                for f in ("l_contrast", "l_consist", "l_u", "ce")},
             k_by_length={k: float(np.mean([r.k_by_length[k] for r in rows
                                            if k in r.k_by_length])) for k in lengths},
             coefficient=None, guard_count=state.guard_count,
-            probe_acc=acc, dacl=dacl_val, wall_clock=time.monotonic() - t0))
-    return state, metrics
+            probe_acc=acc, dacl=dacl_val, wall_clock=time.monotonic() - self._t0))
+        self.epoch += 1
 
 
-def _epoch_pair_info(state: TrainState, cfg: RunConfig, theta_start: ParamSet,
-                     last: StepBatch, labeled: tuple[np.ndarray, np.ndarray]) -> StepInfo:
-    """Coarse epoch-level (theta, theta') pair measured on the last batch's
-    views and predictions (theta_d has not moved since), with the (rows,
-    labels) pair ``labeled`` in place of its labeled rows."""
-    x_labeled, y = labeled
-    batch = dataclasses.replace(
-        last, x=np.concatenate([last.x[:last.starts()[2]], x_labeled]), y=y)
-    before, _ = unsup_eval(state.enc_cfg, theta_start, batch, state.queue, cfg,
-                           want_grad=False)
-    after, _ = unsup_eval(state.enc_cfg, state.theta_e, batch, state.queue, cfg,
-                          want_grad=False)
-    return StepInfo(batch=batch, before=before, after=after)
-
+def train(cfg: RunConfig, dataset: Dataset) -> tuple[TrainState, list[MetricsRecord]]:
+    """A whole ``Run``, its steps and epoch ends in order; returns its state and records."""
+    run = Run(cfg, dataset)
+    for _ in range(cfg.epochs):
+        for _ in range(run.steps_per_epoch):
+            run.step()
+        run.end_epoch()
+    return run.state, run.records

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import types
 import weakref
 
 import numpy as np
@@ -594,14 +595,13 @@ class TestTrain:
         assert state.step > 0
 
     def test_one_iteration_runs_one_forward_per_parameter_version(self, monkeypatch):
-        # criterion 8's sizes; the calls are counted between the first two
-        # encoder_step calls, which is one whole training iteration: keys at
-        # theta_k, then one stacked forward at theta and one at theta'
+        # criterion 8's sizes; the calls are counted across one Run.step(),
+        # which is one whole training iteration: keys at theta_k, then one
+        # stacked forward at theta and one at theta'
         cfg = RunConfig(classes=4, per_class=24, height=8, width=8, noise=0.15,
                         hidden=(32, 16), proj_hidden=12, embed_dim=8, pmnn_hidden=8,
                         queue_capacity=16, batch_size=8, epochs=1, eval_epochs=10, seed=11)
         calls = {"encode_batch": 0, "encode_backward": 0}
-        at_steps = []
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -611,17 +611,11 @@ class TestTrain:
 
         for name in calls:
             monkeypatch.setattr(bilevel, name, counted(name, getattr(bilevel, name)))
-        real_step = bilevel.encoder_step
-
-        def step(*args, **kwargs):
-            at_steps.append(dict(calls))
-            return real_step(*args, **kwargs)
-
-        monkeypatch.setattr(bilevel, "encoder_step", step)
-        train(cfg, harness.build_dataset(cfg))
-        first, second = at_steps[:2]
-        assert {k: second[k] - first[k] for k in calls} == {"encode_batch": 3,
-                                                             "encode_backward": 3}
+        run = bilevel.Run(cfg, harness.build_dataset(cfg))  # warms the queue
+        before = dict(calls)
+        run.step()
+        assert {k: calls[k] - before[k] for k in calls} == {"encode_batch": 3,
+                                                            "encode_backward": 3}
 
     def test_dataset_shape_mismatch_rejected(self):
         cfg = self._cfg(height=8)
@@ -651,6 +645,77 @@ class TestTrain:
             assert seen == {str(l) for l in cfg.lengths}
         epochs = [m for m in metrics if m.record_type == "epoch"]
         assert len(epochs) == 1 and np.isfinite(epochs[0].dacl)
+
+
+class TestRun:
+    @staticmethod
+    def _cfg(seed=3, **overrides):
+        return RunConfig(**{**TINY, "per_class": 16, "queue_capacity": 10, "epochs": 2,
+                            **overrides, "seed": seed})
+
+    def test_construction_warms_the_queue_then_starts_the_clock(self, monkeypatch):
+        # summary.csv's wall_clock_s, perfbench's first_op_time and its timed
+        # span rely on this: once Run returns, the queue is full, no step has
+        # run, and the records' clock counts from the end of construction
+        cfg = self._cfg()
+        now, steps = [0.0], []
+        real_warm, real_step = bilevel.warm_up_queue, bilevel.encoder_step
+
+        def warm(*args):
+            real_warm(*args)
+            now[0] = 40.0  # the clock as warm-up ends
+
+        monkeypatch.setattr(bilevel, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(bilevel, "warm_up_queue", warm)
+        monkeypatch.setattr(bilevel, "encoder_step",
+                            lambda *args: steps.append(args) or real_step(*args))
+        run = bilevel.Run(cfg, harness.build_dataset(cfg))
+        assert len(run.state.queue.rows) == cfg.queue_capacity
+        assert run.state.step == 0 and not steps and run.records == []
+        now[0] = 42.5
+        run.step()
+        assert len(steps) == 1 and run.records[0].wall_clock == 2.5
+
+    @pytest.mark.parametrize("interleave", ["step", "epoch"])
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"alternation": "epoch"},
+        {"use_pmnn": False, "const_deviation": 0.7},
+    ], ids=["iteration-alternation", "epoch-alternation", "constant-arm"])
+    def test_runs_stepped_in_turn_match_their_solo_runs(self, tmp_path, overrides, interleave):
+        # two seeds' runs share one process and step in turn, a step or an
+        # epoch at a time; each must write its solo run's stream and end at
+        # its solo run's parameters
+        cfgs = [self._cfg(seed, **overrides) for seed in (3, 4)]
+        runs = [bilevel.Run(cfg, harness.build_dataset(cfg)) for cfg in cfgs]
+        assert runs[0].steps_per_epoch == runs[1].steps_per_epoch
+        for _ in range(cfgs[0].epochs):
+            if interleave == "step":
+                for _ in range(runs[0].steps_per_epoch):
+                    for run in runs:
+                        run.step()
+                for run in runs:
+                    run.end_epoch()
+            else:
+                for run in runs:
+                    for _ in range(run.steps_per_epoch):
+                        run.step()
+                    run.end_epoch()
+
+        streams = []
+        for cfg, run in zip(cfgs, runs):
+            state, records = train(cfg, harness.build_dataset(cfg))
+            for name, recs in (("solo", records), ("stepped", run.records)):
+                harness.write_metrics_jsonl(str(tmp_path / f"{name}.jsonl"), recs)
+            streams.append((tmp_path / "solo.jsonl").read_bytes())
+            assert (tmp_path / "stepped.jsonl").read_bytes() == streams[-1]
+            for name in ("theta_e", "theta_k", "theta_d", "probe"):
+                solo, stepped = getattr(state, name), getattr(run.state, name)
+                assert (solo is None) == (stepped is None) == (name == "theta_d"
+                                                               and not cfg.use_pmnn)
+                if solo is not None:
+                    np.testing.assert_array_equal(stepped.flat, solo.flat)
+        assert streams[0] != streams[1]
 
 
 class TestSeedPaths:

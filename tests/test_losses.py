@@ -12,7 +12,7 @@ from cocor.gradsuite import (SUITE_SEEDS, check_consistency_abs,
                              check_cross_entropy_probe, check_total_unsup)
 from cocor.losses import (NegativeQueue, consistency_loss_abs,
                           consistency_loss_softplus, contrastive_loss, cross_entropy)
-from cocor.numcore import make_rng
+from cocor.numcore import ParamSet, make_rng
 
 
 def unit_rows(rng, n, dim):
@@ -312,8 +312,12 @@ class TestCrossEntropy:
         np.testing.assert_allclose(d, (probs - onehot) / 6, atol=1e-12)
 
     def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        # the label checks live in head_ce, the caller that takes labels from a
+        # dataset; cross_entropy's own callers build theirs in range
+        head = ParamSet({"w": np.zeros((4, 3)), "b": np.zeros(3)})
+        for labels in (np.array([0, 3]), np.array([-1, 0]), np.array([0, 1, 2])):
+            with pytest.raises(ValueError):
+                bilevel.head_ce(head, np.zeros((2, 4)), labels)
 
     def test_gradient_passes(self):
         assert check_cross_entropy_probe(39) < 1e-5

@@ -119,19 +119,18 @@ def synth_dataset(classes: int, per_class: int, height: int, width: int,
         raise ValueError("need at least 2 classes")
     if per_class < 1 or height < 2 or width < 2:
         raise ValueError("degenerate dataset dimensions")
-    templates = [class_template(c, classes, height, width, channels)
-                 for c in range(classes)]
-    images = np.zeros((classes * per_class, height, width, channels))
-    labels = np.zeros(classes * per_class, dtype=np.int64)
-    pos = 0
-    for c in range(classes):
-        for _ in range(per_class):
-            noisy = templates[c] + noise * rng.standard_normal(templates[c].shape)
-            images[pos] = np.clip(noisy, 0.0, 1.0)
-            labels[pos] = c
-            pos += 1
+    templates = np.stack([class_template(c, classes, height, width, channels)
+                          for c in range(classes)])
+    labels = np.repeat(np.arange(classes), per_class)
+    # one draw, in raster order, is the per-raster draws back to back; it is
+    # scaled and shifted in place, so the rasters are the only full-size array
+    images = rng.standard_normal((classes, per_class) + templates.shape[1:])
+    images *= noise
+    images += templates[:, None]
+    np.clip(images, 0.0, 1.0, out=images)
     splits = assign_splits(classes, labels, labeled_frac, rng)
-    return Dataset(images=images, labels=labels, classes=classes, splits=splits)
+    return Dataset(images=images.reshape(labels.size, *templates.shape[1:]), labels=labels,
+                   classes=classes, splits=splits)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def random_encoder_baseline(cfg: RunConfig, dataset: Dataset, seed: int) -> floa
 # Deviation-predictor ablation
 
 
-DEFAULT_DEVIATION_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+DEVIATION_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def _run_once(cfg: RunConfig, dataset: Dataset) -> float:
@@ -94,12 +94,12 @@ def _run_once(cfg: RunConfig, dataset: Dataset) -> float:
     return linear_eval(state.enc_cfg, state.theta_e, dataset, cfg, seed=cfg.seed)
 
 
-def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid,
+def tune_constant_deviation(cfg: RunConfig, dataset: Dataset,
                             pilot_epochs: int) -> tuple[float, dict[float, float]]:
-    """Short pilot runs across the grid, all on ``dataset``; returns (best
-    value, grid accuracies)."""
+    """Short pilot runs across ``DEVIATION_GRID``, all on ``dataset``; returns
+    (best value, grid accuracies). Equal accuracies go to the smallest value."""
     results: dict[float, float] = {}
-    for value in grid:
+    for value in DEVIATION_GRID:
         pilot = dataclasses.replace(cfg, use_pmnn=False, const_deviation=value,
                                     epochs=pilot_epochs)
         results[value] = _run_once(pilot, dataset)
@@ -107,8 +107,7 @@ def tune_constant_deviation(cfg: RunConfig, dataset: Dataset, grid,
     return best, results
 
 
-def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...], grid=DEFAULT_DEVIATION_GRID,
-                pilot_epochs: int = 5) -> dict:
+def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...], pilot_epochs: int = 5) -> dict:
     """Paired comparison: fixed grid-tuned constant deviation versus the full
     learned-predictor bi-level run, matched per seed. The protocol is defined
     for two-transform composites and at least five seeds. A dataset depends
@@ -124,7 +123,7 @@ def ablate_pmnn(cfg: RunConfig, seeds: tuple[int, ...], grid=DEFAULT_DEVIATION_G
     if repeated:
         raise ConfigError(f"ablation seed {repeated[0]} is repeated; seeds must differ")
     dataset = build_dataset(cfg)
-    best_const, grid_results = tune_constant_deviation(cfg, dataset, grid, pilot_epochs)
+    best_const, grid_results = tune_constant_deviation(cfg, dataset, pilot_epochs)
 
     rows = []
     for seed in seeds:

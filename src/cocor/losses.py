@@ -19,9 +19,9 @@ UNIT_NORM_TOL = 1e-6
 
 
 class NegativeQueue:
-    """Fixed-capacity FIFO of unit-norm embeddings. ``rows`` is its whole
-    content: one read-only (fill, dim) array, oldest first, that each push
-    replaces."""
+    """Fixed-capacity FIFO of finite unit-norm embeddings. ``rows`` is its
+    whole content: one read-only (fill, dim) array, oldest first, that each
+    push replaces."""
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1 or dim < 1:
@@ -35,7 +35,7 @@ class NegativeQueue:
         if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
             raise ValueError(f"embeddings shape {embeddings.shape} != (n, {self.dim})")
         norms = np.linalg.norm(embeddings, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"queue admits unit-norm embeddings only (off by {worst:.2e})")
         # a new array: one a reader already holds is never written

@@ -331,20 +331,26 @@ class TestAblation:
 
         monkeypatch.setattr(harness, "build_dataset", counted_build)
         monkeypatch.setattr(harness, "_run_once", run_once)
+        # the larger value first, so neither grid order nor max's first pick hides the tie rule
+        monkeypatch.setattr(harness, "DEVIATION_GRID", (0.7, 0.4))
         cfg = RunConfig(**{**SMALL, "seed": 2}, lengths=(2,))
         seeds = (0, 1, 2, 3, 4)
-        harness.ablate_pmnn(cfg, seeds, grid=(0.4, 0.7), pilot_epochs=1)
+        report = harness.ablate_pmnn(cfg, seeds, pilot_epochs=1)
         assert list(built) == [2, 0, 1, 3, 4]
         assert runs == [2, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        # every pilot scores 0.5: equal accuracies go to the smallest deviation
+        assert report["tuned_constant_deviation"] == 0.4
 
-    def test_report_schema_and_trend_fields(self, tmp_path):
+    def test_report_schema_and_trend_fields(self, tmp_path, monkeypatch):
         # smallest honest run: tiny data, 1-epoch mains, 1-epoch pilots
+        from cocor import harness
         from cocor.harness import ablate_pmnn, write_report_csv, write_report_json
 
+        monkeypatch.setattr(harness, "DEVIATION_GRID", (0.4, 0.7))
         cfg = RunConfig(**{**SMALL, "per_class": 24, "epochs": 1, "eval_epochs": 10},
                         lengths=(2,))
         seeds = (0, 1, 2, 3, 4)
-        report = ablate_pmnn(cfg, seeds, grid=(0.4, 0.7), pilot_epochs=1)
+        report = ablate_pmnn(cfg, seeds, pilot_epochs=1)
         assert len(report["per_seed"]) == 5
         for row in report["per_seed"]:
             assert set(row) == {"seed", "acc_without", "acc_with", "difference"}

@@ -4,8 +4,9 @@ references, no function parameter that its function never reads, no public
 definition that only tests read, no dataclass field that nothing reads, no
 returned value that every caller drops, no local, in the package, the
 benchmark or the tests, that is assigned and never read, no array
-conversion in the inner layers, and no getter. Only the standard library's
-``ast`` is used."""
+conversion in the inner layers, no getter, and nothing in the package's
+``__init__.py`` but its docstring. Only the standard library's ``ast`` is
+used."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,17 @@ def _imported_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names += [alias.asname or alias.name for alias in node.names]
     return names
+
+
+def test_package_init_is_only_its_docstring():
+    # the modules are the API: a name has one import path, the module dict
+    # where perfbench's tracer wraps it
+    tree = _parse(SRC / "__init__.py")
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    found = [f"from {'.' * node.level}{node.module} import ..."
+             if isinstance(node, ast.ImportFrom) else ast.unparse(node).splitlines()[0]
+             for node in body]
+    assert not found, f"__init__.py holds more than its docstring: {found}"
 
 
 def test_every_module_is_checked():

@@ -81,6 +81,14 @@ class TestQueue:
         with pytest.raises(ValueError):
             q.push(np.array([[1.0, 1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_row_rejected(self, bad):
+        # a NaN norm compares False against any bound, so it must fail the test too
+        q = NegativeQueue(capacity=2, dim=2)
+        with pytest.raises(ValueError, match="unit-norm"):
+            q.push(np.array([[bad, bad], [1.0, 0.0]]))
+        assert len(q.rows) == 0
+
     @pytest.mark.parametrize("rows", [np.eye(3)[0], np.eye(4)[:2]], ids=["1-D", "wide"])
     def test_rows_of_another_shape_rejected(self, rows):
         q = NegativeQueue(capacity=2, dim=3)

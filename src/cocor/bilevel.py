@@ -189,19 +189,19 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue:
     One forward pass covers every row of the batch; the labeled rows take no
     part in the loss and only their backbone features are returned. The
     three backward passes (query, raw, augmented) run on row slices of that
-    pass and add into one gradient set.
+    pass and add into one gradient set. Without want_grad, theta may stack sets.
     """
     features, z, cache = encode_batch(enc_cfg, theta, batch.x)
     r, a, lab = batch.starts()
-    lc, d_zq = contrastive_loss(z[:r], batch.z_keys, queue, cfg.tau, want_grad)
-    z_raw, z_aug = z[r:a], z[a:lab]
-    omega = np.add.reduce(z_raw * z_aug, axis=1)   # as np.sum
+    lc, d_zq = contrastive_loss(z[..., :r, :], batch.z_keys, queue, cfg.tau, want_grad)
+    z_raw, z_aug = z[..., r:a, :], z[..., a:lab, :]
+    omega = np.add.reduce(z_raw * z_aug, axis=-1)   # as np.sum
     simi = mean(omega)
     lcons, d_omega, k_by_length = _CONSISTENCY_LOSSES[cfg.variant](
         omega, batch.g, batch.v.sum(axis=1), want_grad)
     lu = lc + lcons
     k_pooled = mean(omega - batch.g)
-    zero_norms = int(np.count_nonzero(cache.zero_norm[:lab]))
+    zero_norms = int(np.count_nonzero(cache.zero_norm[..., :lab]))
 
     grads = None
     if want_grad:
@@ -212,18 +212,20 @@ def unsup_eval(enc_cfg: EncoderConfig, theta: ParamSet, batch: StepBatch, queue:
                         out=grads)
     return UnsupEval(lu=lu, lc=lc, lcons=lcons, simi=simi, k_pooled=k_pooled,
                      k_by_length=k_by_length, zero_norms=zero_norms,
-                     labeled_features=features[lab:]), grads
+                     labeled_features=features[..., lab:, :]), grads
 
 
-def head_ce(head: ParamSet, features: np.ndarray,
-            labels: np.ndarray) -> tuple[float, ParamSet]:
+def head_ce(head: ParamSet, features: np.ndarray, labels: np.ndarray, *,
+            want_grad: bool = True) -> tuple[float, ParamSet | None]:
     """Cross-entropy of an affine head {"w", "b"} on fixed features, and its
-    gradient; it checks the labels that the probe and linear evaluation pass."""
-    c = head["b"].size
+    gradient (None without want_grad, and then the head may stack sets); it
+    checks the labels that the probe and linear evaluation pass."""
+    c = head["b"].shape[-1]
     if labels.shape != features.shape[:1] or np.count_nonzero((labels < 0) | (labels >= c)):
         raise ValueError(f"labels must be {features.shape[0]} values in [0, {c})")
-    ce, d_logits = cross_entropy(features @ head["w"] + head["b"], labels)
-    return ce, ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
+    ce, d_logits = cross_entropy(features @ head["w"] + head["b"][..., None, :], labels, want_grad)
+    return ce, (ParamSet({"w": features.T @ d_logits, "b": d_logits.sum(axis=0)})
+                if want_grad else None)
 
 
 def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
@@ -232,7 +234,7 @@ def probe_ce(enc_cfg: EncoderConfig, theta_e: ParamSet, probe: ParamSet,
     """Labeled cross-entropy through backbone features with the probe fixed.
 
     Never mutates theta_e; the optional gradient is a measurement used by the
-    hypergradient oracle, not an update path.
+    hypergradient oracle, not an update path; without it, theta_e may stack sets.
     """
     features, backbone_cache = encode_features(enc_cfg, theta_e, x)
     ce, d_logits = cross_entropy(features @ probe["w"] + probe["b"], labels,

@@ -121,17 +121,17 @@ def encode_batch(cfg: EncoderConfig, params: ParamSet,
 
     z rows are unit-norm. A row whose raw projection norm is below NORM_EPS
     is flagged in cache.zero_norm and embeds as e_0, the first basis vector;
-    ``encode_backward`` passes it no gradient.
+    ``encode_backward`` passes it no gradient. Stacked sets give stacked outputs.
     """
     features, backbone_cache = encode_features(cfg, params, x)
     proj, head_cache = mlp_forward(_stack(cfg, params, start=len(cfg.hidden)), features)
 
-    raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=1))  # np.linalg.norm's own sum
+    raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=-1))  # np.linalg.norm's own sum
     norms = np.maximum(raw_norms, NORM_EPS)
-    z = proj / norms[:, None]
+    z = proj / norms[..., None]
     zero_norm = raw_norms < NORM_EPS
     if np.count_nonzero(zero_norm):
-        z[zero_norm] = np.eye(1, z.shape[1])
+        z[zero_norm] = np.eye(1, z.shape[-1])
     cache = EncodeCache(layers=backbone_cache + head_cache, norms=norms, z=z,
                         zero_norm=zero_norm)
     return features, z, cache

@@ -3,7 +3,7 @@ shared by the grad-check CLI command and the test suite.
 
 Each entry builds a tiny deterministic instance (well under 2,000 parameters),
 computes the analytic gradient, and compares it against central differences
-coordinate by coordinate.
+from one production loss-only call on all the perturbed sets (``grad_check``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def check_contrastive(seed: int) -> float:
     _, params, x_query, _, _, z_keys, queue = _tiny_setup(seed)
     tau = RunConfig().tau
 
-    def loss_fn(p: ParamSet) -> float:
+    def loss_fn(p: ParamSet) -> np.ndarray:
         _, z, _ = encode_batch(TINY_ENC, p, x_query)
         return contrastive_loss(z, z_keys, queue, tau, want_grad=False)[0]
 
@@ -57,7 +57,7 @@ def _check_consistency(loss, seed: int) -> float:
     g_vals = omega - np.array([0.3, -0.25, 0.2])  # gaps far from the |.| kink
     lengths = np.array([1, 2, 1])
     _, d_omega, _ = loss(omega, g_vals, lengths)
-    return grad_check(lambda p: loss(p["omega"], g_vals, lengths)[0],
+    return grad_check(lambda p: loss(p["omega"], g_vals, lengths, want_grad=False)[0],
                       ParamSet({"omega": omega}), ParamSet({"omega": d_omega}))
 
 
@@ -81,7 +81,8 @@ def check_cross_entropy_probe(seed: int) -> float:
     probe = _tiny_probe(rng)
     labels = np.array([0, 2, 1])
     _, analytic = bilevel.head_ce(probe, features, labels)
-    return grad_check(lambda p: bilevel.head_ce(p, features, labels)[0], probe, analytic)
+    return grad_check(lambda p: bilevel.head_ce(p, features, labels, want_grad=False)[0],
+                      probe, analytic)
 
 
 def check_cross_entropy_encoder(seed: int) -> float:
@@ -91,7 +92,7 @@ def check_cross_entropy_encoder(seed: int) -> float:
     probe = _tiny_probe(rng)
     labels = np.array([0, 2, 1])
 
-    def loss_fn(p: ParamSet) -> float:
+    def loss_fn(p: ParamSet) -> np.ndarray:
         return bilevel.probe_ce(TINY_ENC, p, probe, x_raw, labels)[0]
 
     _, analytic = bilevel.probe_ce(TINY_ENC, params, probe, x_raw, labels,
@@ -118,11 +119,8 @@ def check_pmnn_mean_output(seed: int) -> float:
         for idx in rng.integers(0, POOL_SIZE, size=rng.integers(1, 4)):
             row[idx] += 1
 
-    def loss_fn(p: ParamSet) -> float:
-        return mean(pmnn.predict_batch(p, v_batch))
-
-    analytic = pmnn.grad_wrt_params(params, v_batch)
-    return grad_check(loss_fn, params, analytic)
+    return grad_check(lambda p: mean(pmnn.predict_batch(p, v_batch)), params,
+                      pmnn.grad_wrt_params(params, v_batch))
 
 
 def check_total_unsup(seed: int) -> float:
@@ -136,7 +134,7 @@ def check_total_unsup(seed: int) -> float:
     def error(variant: str) -> float:
         cfg = RunConfig(variant=variant)
 
-        def loss_fn(p: ParamSet) -> float:
+        def loss_fn(p: ParamSet) -> np.ndarray:
             return bilevel.unsup_eval(TINY_ENC, p, batch, queue, cfg, want_grad=False)[0].lu
 
         _, analytic = bilevel.unsup_eval(TINY_ENC, params, batch, queue, cfg, want_grad=True)

@@ -49,21 +49,21 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
     ``want_grad``.
 
     Per sample: -log( e^{z.z+ / tau} / (e^{z.z+ / tau} + sum_j e^{z.q_j / tau}) ).
-    Queue rows are treated as constants.
+    Queue rows are constants. Without ``want_grad``, ``z`` may stack batches.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
     negs = queue.rows
     if negs.shape[0] < 1:
         raise RuntimeError("contrastive loss requires a non-empty queue")
-    if z.ndim != 2 or z.shape != z_pos.shape:
+    if z.ndim < 2 or z.shape[-2:] != z_pos.shape:
         raise ValueError("query and positive batches must be 2-D with equal shapes")
 
-    pos_logits = np.add.reduce(z * z_pos, axis=1) / tau     # (B,), as np.sum
-    neg_logits = (z @ negs.T) / tau                          # (B, N)
-    logits = np.concatenate([pos_logits[:, None], neg_logits], axis=1)
+    pos_logits = np.add.reduce(z * z_pos, axis=-1) / tau    # (..., B), as np.sum
+    neg_logits = (z @ negs.T) / tau                          # (..., B, N)
+    logits = np.concatenate([pos_logits[..., None], neg_logits], axis=-1)
     # every row's true class is its positive, column 0
-    loss, d_logits = cross_entropy(logits, np.zeros(z.shape[0], dtype=np.int64), want_grad)
+    loss, d_logits = cross_entropy(logits, np.zeros(z.shape[-2], dtype=np.int64), want_grad)
     if not want_grad:
         return loss, None
     d_z = (d_logits[:, :1] * z_pos + d_logits[:, 1:] @ negs) / tau
@@ -73,14 +73,14 @@ def contrastive_loss(z: np.ndarray, z_pos: np.ndarray, queue: NegativeQueue,
 def _gaps(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray
           ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]]:
     """omega - g, the mask of each configured length (ascending), and the
-    mean gap k_l of each length."""
-    if omega.ndim != 1 or omega.shape != g.shape or omega.shape != lengths.shape:
+    mean gap k_l of each length; omega may carry leading stack axes."""
+    if g.ndim != 1 or omega.shape[-1:] != g.shape or lengths.shape != g.shape:
         raise ValueError("omega, g and lengths must be equal-length vectors")
-    if omega.size == 0:
+    if g.size == 0:
         raise ValueError("empty batch")
     diff = omega - g
     masks = {int(l): lengths == l for l in sorted(set(lengths.tolist()))}
-    return diff, masks, {l: mean(diff[m]) for l, m in masks.items()}
+    return diff, masks, {l: mean(diff[..., m]) for l, m in masks.items()}
 
 
 def consistency_loss_abs(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray,
@@ -89,7 +89,7 @@ def consistency_loss_abs(omega: np.ndarray, g: np.ndarray, lengths: np.ndarray,
     """Mean |omega - g|; subgradient 0 at exact ties.
 
     Returns (loss, d_omega, mean gap k_l per length), d_omega None without
-    ``want_grad``.
+    ``want_grad``; without it, a stacked omega gives one loss per row.
     """
     diff, _, k_by_length = _gaps(omega, g, lengths)
     d_omega = np.sign(diff) / diff.size if want_grad else None
@@ -104,7 +104,7 @@ def consistency_loss_softplus(omega: np.ndarray, g: np.ndarray, lengths: np.ndar
     For each configured length l with samples (omega_i, g_i):
     k_l = mean(omega - g); loss = mean over lengths of softplus(k_l).
     Returns (loss, d_omega, k_l per length), d_omega None without
-    ``want_grad``.
+    ``want_grad``; without it, a stacked omega gives one loss per row.
     """
     diff, masks, k_by_length = _gaps(omega, g, lengths)
     n_lengths = len(masks)
@@ -122,15 +122,15 @@ def consistency_loss_softplus(omega: np.ndarray, g: np.ndarray, lengths: np.ndar
 def cross_entropy(logits: np.ndarray, labels: np.ndarray,
                   want_grad: bool = True) -> tuple[float, np.ndarray | None]:
     """Mean negative log-softmax of the true class; grad = (softmax - onehot)/B,
-    None without ``want_grad``. It trusts its labels: ``bilevel.head_ce`` checks them."""
-    b = logits.shape[0]
+    None without ``want_grad`` (then logits may stack). ``bilevel.head_ce`` checks labels."""
+    b = logits.shape[-2]
     rows = np.arange(b)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
+    denom = exp.sum(axis=-1, keepdims=True)
     # only the true class's entry of the log-softmax is read
-    loss = mean(-(shifted[rows, labels] - np.log(denom[:, 0])))
+    loss = mean(-(shifted[..., rows, labels] - np.log(denom[..., 0])))
     if not want_grad:
         return loss, None
 

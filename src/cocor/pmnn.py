@@ -60,10 +60,10 @@ def _stack(params: ParamSet) -> list:
 
 
 def predict_batch(params: ParamSet, v_batch: np.ndarray) -> np.ndarray:
-    """Predicted deviations in (-1, 1), one per composition vector row."""
+    """Predicted deviations in (-1, 1), one per composition vector row and stacked set."""
     # negated counts make the monotone-increasing net non-increasing in V
     y, _ = mlp_forward(_stack(params), -_as_batch(v_batch))
-    return y[:, 0]
+    return y[..., 0]
 
 
 def grad_wrt_params(params: ParamSet, v_batch: np.ndarray) -> ParamSet:

@@ -50,9 +50,9 @@ class TestEncode:
         c = make_rng(8, 75).standard_normal(4)
         c_feat = make_rng(9, 75).standard_normal(hidden[-1])
 
-        def loss_fn(p):
+        def loss_fn(p):  # one loss per stacked parameter set
             features, z, _ = encode_batch(cfg, p, x)
-            return float(np.sum(z @ c) + np.sum(features @ c_feat))
+            return np.sum(z @ c, axis=-1) + np.sum(features @ c_feat, axis=-1)
 
         features, _, cache = encode_batch(cfg, params, x)
         features_only, backbone_cache = encode_features(cfg, params, x)

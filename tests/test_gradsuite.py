@@ -1,12 +1,21 @@
+import numpy as np
 import pytest
 
-from cocor import gradsuite
+from cocor import bilevel, gradsuite, pmnn
+from cocor.augment import POOL_SIZE
+from cocor.cli import GRAD_CHECK_TOL
+from cocor.config import VARIANTS, RunConfig
+from cocor.encoder import encode_batch, encode_features, init_encoder_params
+from cocor.losses import (consistency_loss_abs, consistency_loss_softplus, contrastive_loss,
+                          cross_entropy)
+from cocor.numcore import TANH, ParamSet, make_rng, mean, mlp_forward
 
-# run_gradient_suite() at the vetted instances (None) and at five other seeds,
-# as float.hex, recorded before loss-only evaluation and the one-check layer
-# stacks went in (numpy 2.4, OpenBLAS, x86-64). Every check's error is a
-# function of the production losses and gradients down to the last bit, so
-# any change to their arithmetic shows here.
+# run_gradient_suite() at the vetted instances (None) and at fifteen other
+# seeds, as float.hex (numpy 2.4, OpenBLAS, x86-64). The first five were
+# recorded before loss-only evaluation and the one-check layer stacks went
+# in, the other ten before the checker evaluated its perturbations as one
+# stack. Every check's error is a function of the production losses and
+# gradients down to the last bit, so any change to their arithmetic shows here.
 PINNED_ERRORS = {
     None: {
         "contrastive_loss": "0x1.c36ad6cc07cbap-27",
@@ -62,6 +71,96 @@ PINNED_ERRORS = {
         "pmnn_mean_output": "0x1.5241ee871ccffp-17",
         "total_unsup_loss": "0x1.55de60208382fp-24",
     },
+    2: {
+        "contrastive_loss": "0x1.4004c251797c8p-17",
+        "consistency_abs": "0x1.2858000000ab9p-41",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.26a1b1ee67e1bp-26",
+        "cross_entropy_encoder": "0x1.83febbb9fd0fep-30",
+        "pmnn_mean_output": "0x1.77d544631d88bp-17",
+        "total_unsup_loss": "0x1.144b53751d9c8p-2",
+    },
+    3: {
+        "contrastive_loss": "0x1.5feea5c2e6fe0p-20",
+        "consistency_abs": "0x1.58cfffffff8bfp-42",
+        "consistency_softplus": "0x1.0657e95e8dff0p-33",
+        "cross_entropy_probe": "0x1.cca10a6054f1ap-28",
+        "cross_entropy_encoder": "0x1.6afabca01ae99p-28",
+        "pmnn_mean_output": "0x1.51bdb82abe3f8p-14",
+        "total_unsup_loss": "0x1.962b198ff9b1bp-20",
+    },
+    4: {
+        "contrastive_loss": "0x1.5fa0fbe50a6c8p-16",
+        "consistency_abs": "0x1.efc00000003c1p-44",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.0b3a4787614a6p-27",
+        "cross_entropy_encoder": "0x1.6507f58dae9eep-27",
+        "pmnn_mean_output": "0x1.022d8a90909aep-15",
+        "total_unsup_loss": "0x1.11dd63888323ap-15",
+    },
+    6: {
+        "contrastive_loss": "0x1.2cea51c58d99ap-21",
+        "consistency_abs": "0x1.58cfffffff8bfp-42",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.69d1426c8cdfap-28",
+        "cross_entropy_encoder": "0x1.c049d19209aa6p-30",
+        "pmnn_mean_output": "0x1.4ec02bbf1cca9p-18",
+        "total_unsup_loss": "0x1.1749993fcf664p-21",
+    },
+    7: {
+        "contrastive_loss": "0x1.b64d990a8ab6ep-14",
+        "consistency_abs": "0x1.2858000000ab9p-41",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.76e9454524844p-29",
+        "cross_entropy_encoder": "0x1.ab76db8ff244fp-31",
+        "pmnn_mean_output": "0x1.08b89851b1ea1p-19",
+        "total_unsup_loss": "0x1.ea1bdfb74190dp-13",
+    },
+    8: {
+        "contrastive_loss": "0x1.d1aed07280258p-12",
+        "consistency_abs": "0x1.efc00000003c1p-44",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.72410906c864ep-29",
+        "cross_entropy_encoder": "0x1.f4e77f13e27e8p-27",
+        "pmnn_mean_output": "0x1.2691bebf28960p-15",
+        "total_unsup_loss": "0x1.10bd7b45e41e9p-21",
+    },
+    9: {
+        "contrastive_loss": "0x1.922e7176c4ac3p-17",
+        "consistency_abs": "0x1.efc00000003c1p-44",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.e6893a25df039p-27",
+        "cross_entropy_encoder": "0x1.13e5aabd0231bp-29",
+        "pmnn_mean_output": "0x1.934e991a70429p-14",
+        "total_unsup_loss": "0x1.29e01f6de789ap-13",
+    },
+    10: {
+        "contrastive_loss": "0x1.d1a680dd2c186p-13",
+        "consistency_abs": "0x1.efc00000003c1p-44",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.4e442e0425f6ep-25",
+        "cross_entropy_encoder": "0x1.f9a1a0a029048p-29",
+        "pmnn_mean_output": "0x1.613549cb799b2p-15",
+        "total_unsup_loss": "0x1.3a4a0a2b17dd9p-15",
+    },
+    11: {
+        "contrastive_loss": "0x1.d1ab510433f1bp-12",
+        "consistency_abs": "0x1.efc00000003c1p-44",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.aed4f44adc9b6p-23",
+        "cross_entropy_encoder": "0x1.a5af268ec9797p-31",
+        "pmnn_mean_output": "0x1.7aa1a3efae148p-19",
+        "total_unsup_loss": "0x1.d1af9146220c2p-12",
+    },
+    13: {
+        "contrastive_loss": "0x1.425b79eac73c8p-18",
+        "consistency_abs": "0x1.58cfffffff8bfp-42",
+        "consistency_softplus": "0x1.00c47793317adp-33",
+        "cross_entropy_probe": "0x1.2c735ec76b5dap-26",
+        "cross_entropy_encoder": "0x1.5bb4d7b3f987dp-27",
+        "pmnn_mean_output": "0x1.87694c9729c6ap-15",
+        "total_unsup_loss": "0x1.3ee1b5b2187dbp-18",
+    },
 }
 
 
@@ -71,3 +170,124 @@ def test_suite_errors_match_pin_bitwise(seed):
     assert list(errors) == list(PINNED_ERRORS[seed])
     assert {name: err.hex() for name, err in errors.items()} == PINNED_ERRORS[seed]
 
+
+# ---------------------------------------------------------------------------
+# The stacked loss-only paths grad_check evaluates its perturbations through
+
+
+def _instance():
+    """One tiny instance shared by every stacked case: inputs, keys, queue,
+    a probe, labels and a step batch, as the suite builds them."""
+    rng, _, x_query, x_raw, x_aug, z_keys, queue = gradsuite._tiny_setup(3)
+    batch = bilevel.StepBatch(x=np.concatenate([x_query, x_raw, x_aug]), z_keys=z_keys,
+                              v=np.eye(3, POOL_SIZE, dtype=np.int64) * [[1], [2], [1]],
+                              y=np.zeros(0, dtype=np.int64), g=np.array([0.4, 0.1, 0.5]))
+    return dict(x_query=x_query, x_raw=x_raw, z_keys=z_keys, queue=queue, batch=batch,
+                probe=gradsuite._tiny_probe(rng), labels=np.array([0, 2, 1]))
+
+
+def _encoder(rng):
+    params = init_encoder_params(gradsuite.TINY_ENC, rng)
+    # non-zero biases, so the bias broadcast over the stack axis is exercised
+    return params.like(params.flat + 0.1 * rng.standard_normal(params.flat.size))
+
+
+def _tanh_stack(rng):
+    return ParamSet({"w0": rng.standard_normal((4, 5)), "b0": rng.standard_normal(5),
+                     "w1": rng.standard_normal((5, 3)), "b1": rng.standard_normal(3)})
+
+
+def _unsup_lu(variant):
+    def lu(p, inst):
+        return bilevel.unsup_eval(gradsuite.TINY_ENC, p, inst["batch"], inst["queue"],
+                                  RunConfig(variant=variant), want_grad=False)[0].lu
+    return lu
+
+
+_V = np.array([[1, 0, 2] + [0] * (POOL_SIZE - 3), [0] * (POOL_SIZE - 1) + [3]])
+_G, _LENGTHS = np.array([0.3, -0.2, 0.1, 0.5]), np.array([1, 2, 1, 3])
+
+# name: (a parameter set drawn from a generator, the loss-only function of a
+# set, stacked or not, on the shared instance)
+STACKED_CASES = {
+    "mlp_forward": (_tanh_stack, lambda p, inst: mlp_forward(
+        [(p["w0"], p["b0"], TANH), (p["w1"], p["b1"], None)], inst["x_raw"][:, :4])[0]),
+    "mean": (lambda rng: ParamSet({"x": rng.standard_normal(37)}),
+             lambda p, inst: mean(p["x"])),
+    "encode_features": (_encoder, lambda p, inst: encode_features(
+        gradsuite.TINY_ENC, p, inst["x_raw"])[0]),
+    "encode_batch": (_encoder, lambda p, inst: encode_batch(
+        gradsuite.TINY_ENC, p, inst["x_raw"])[1]),
+    "contrastive_loss": (_encoder, lambda p, inst: contrastive_loss(
+        encode_batch(gradsuite.TINY_ENC, p, inst["x_query"])[1], inst["z_keys"],
+        inst["queue"], 0.2, want_grad=False)[0]),
+    "cross_entropy": (lambda rng: ParamSet({"logits": rng.standard_normal((3, 4))}),
+                      lambda p, inst: cross_entropy(p["logits"], inst["labels"],
+                                                    want_grad=False)[0]),
+    "consistency_abs": (lambda rng: ParamSet({"omega": rng.uniform(-1, 1, 4)}),
+                        lambda p, inst: consistency_loss_abs(p["omega"], _G, _LENGTHS,
+                                                             want_grad=False)[0]),
+    "consistency_softplus": (lambda rng: ParamSet({"omega": rng.uniform(-1, 1, 4)}),
+                             lambda p, inst: consistency_loss_softplus(
+                                 p["omega"], _G, _LENGTHS, want_grad=False)[0]),
+    **{f"unsup_eval_{v}": (_encoder, _unsup_lu(v)) for v in VARIANTS},
+    "probe_ce": (_encoder, lambda p, inst: bilevel.probe_ce(
+        gradsuite.TINY_ENC, p, inst["probe"], inst["x_raw"], inst["labels"])[0]),
+    "head_ce": (gradsuite._tiny_probe, lambda p, inst: bilevel.head_ce(
+        p, encode_features(gradsuite.TINY_ENC, _encoder(make_rng(5)), inst["x_raw"])[0],
+        inst["labels"], want_grad=False)[0]),
+    "predict_batch": (lambda rng: pmnn.init_pmnn_params(rng, hidden=5),
+                      lambda p, inst: pmnn.predict_batch(p, _V)),
+}
+
+
+@pytest.mark.parametrize("case", list(STACKED_CASES))
+def test_a_stack_equals_its_rows_bitwise(case):
+    draw, fn = STACKED_CASES[case]
+    inst = _instance()
+    sets = [draw(make_rng(60, i)) for i in range(3)]
+    stacked = sets[0].like(np.stack([s.flat for s in sets]))
+    out = fn(stacked, inst)
+    assert len(out) == len(sets)
+    for row, solo in zip(out, sets):
+        assert np.asarray(row).tobytes() == np.asarray(fn(solo, inst)).tobytes()
+
+
+def _negate_first_segment(grads: ParamSet) -> ParamSet:
+    out = grads.copy()
+    out[out.names()[0]][...] *= -1.0
+    return out
+
+
+# wrong analytic gradients that every check must reject
+MUTANTS = {
+    "scaled": lambda grads: grads.scale(1.0 + 1e-3),
+    "first_segment_negated": _negate_first_segment,
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("name", list(gradsuite.SUITE_SEEDS))
+def test_check_rejects_a_wrong_gradient(monkeypatch, name, mutant):
+    real = gradsuite.grad_check
+    monkeypatch.setattr(gradsuite, "grad_check", lambda loss_fn, params, analytic: real(
+        loss_fn, params, MUTANTS[mutant](analytic)))
+    assert gradsuite._CHECKS[name](gradsuite.SUITE_SEEDS[name]) > GRAD_CHECK_TOL
+
+
+@pytest.mark.parametrize("name", list(gradsuite.SUITE_SEEDS))
+def test_each_check_calls_its_loss_once_per_grad_check(monkeypatch, name):
+    real, calls = gradsuite.grad_check, []
+
+    def counting(loss_fn, params, analytic):
+        calls.append(0)
+
+        def counted(p):
+            calls[-1] += 1
+            return loss_fn(p)
+
+        return real(counted, params, analytic)
+
+    monkeypatch.setattr(gradsuite, "grad_check", counting)
+    gradsuite._CHECKS[name](gradsuite.SUITE_SEEDS[name])
+    assert calls == [1] * (len(VARIANTS) if name == "total_unsup_loss" else 1)

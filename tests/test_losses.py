@@ -169,9 +169,9 @@ class TestContrastive:
         queue = NegativeQueue(capacity=1, dim=TINY_ENC.embed_dim)
         queue.push(unit_rows(rng, 1, TINY_ENC.embed_dim))
 
-        def loss_fn(p):
+        def loss_fn(p):  # one loss per stacked parameter set
             _, z, _ = encode_batch(TINY_ENC, p, x)
-            loss, _ = contrastive_loss(z, z_keys, queue, 0.2)
+            loss, _ = contrastive_loss(z, z_keys, queue, 0.2, want_grad=False)
             return loss
 
         _, z, cache = encode_batch(TINY_ENC, params, x)

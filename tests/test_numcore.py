@@ -103,8 +103,8 @@ class TestLayerStack:
         def stack(p):
             return [(p[f"w{i}"], p[f"b{i}"], TANH) for i in range(len(layers))]
 
-        def loss(p):
-            return float(np.sum(mlp_forward(stack(p), x)[0] * d_out))
+        def loss(p):  # one loss per stacked parameter set
+            return np.sum(mlp_forward(stack(p), x)[0] * d_out, axis=(-2, -1))
 
         _, cache = mlp_forward(stack(params), x)
         grads = mlp_backward(stack(params), cache, d_out)
@@ -241,20 +241,41 @@ class TestGradCheck:
         params = ParamSet({"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)})
 
         def loss_fn(p):
-            return 0.5 * float(np.sum(p.flat ** 2))
+            return 0.5 * np.sum(p.flat ** 2, axis=-1)
 
         err = grad_check(loss_fn, params, params.copy())
         assert err < 1e-9
 
     def test_non_finite_loss_raises(self):
         params = ParamSet({"a": np.ones(2)})
-        with pytest.raises(RuntimeError):
-            grad_check(lambda p: float("nan"), params, params.zeros_like())
+        with pytest.raises(RuntimeError, match="coordinate 0"):
+            grad_check(lambda p: np.full(p.flat.shape[:-1], np.nan), params,
+                       params.zeros_like())
+
+    @pytest.mark.parametrize("loss_fn", [lambda p: 0.0,
+                                         lambda p: np.zeros(p.flat.shape[0] - 1),
+                                         lambda p: np.zeros(p.flat.shape[:-1] + (1,))],
+                             ids=["scalar", "one_short", "column"])
+    def test_loss_not_one_per_stacked_set_raises(self, loss_fn):
+        params = ParamSet({"a": np.ones(3)})
+        with pytest.raises(ValueError, match=r"not \(6,\)"):
+            grad_check(loss_fn, params, params.zeros_like())
+
+    def test_non_finite_loss_names_first_bad_coordinate(self):
+        params = ParamSet({"a": np.arange(4.0)})
+
+        def loss_fn(p):
+            losses = np.sum(p.flat, axis=-1)
+            losses[[3, 4 + 2]] = [np.nan, np.inf]  # coordinate 3 raised, 2 lowered
+            return losses
+
+        with pytest.raises(RuntimeError, match="coordinate 2$"):
+            grad_check(loss_fn, params, params.zeros_like())
 
     def test_nan_analytic_coordinate_fails(self):
         params = ParamSet({"w": np.array([1.0, 2.0])})
         analytic = ParamSet({"w": np.array([np.nan, 4.0])})
-        err = grad_check(lambda p: float(np.sum(p["w"] ** 2)), params, analytic)
+        err = grad_check(lambda p: np.sum(p["w"] ** 2, axis=-1), params, analytic)
         assert not err < 1e-5
 
     def test_params_unchanged(self):
@@ -265,7 +286,7 @@ class TestGradCheck:
 
         def loss_fn(p):
             seen.append(p.flat is params.flat)
-            return float(np.sum(np.sin(p["a"])) + np.sum(p["b"] ** 3))
+            return np.sum(np.sin(p["a"]), axis=(-2, -1)) + np.sum(p["b"] ** 3, axis=-1)
 
         analytic = ParamSet({"a": np.cos(params["a"]), "b": 3.0 * params["b"] ** 2})
         assert grad_check(loss_fn, params, analytic) < 1e-6

@@ -96,8 +96,8 @@ class TestGradients:
         v[0, 2] = 1
         v[1, 5] = 2
 
-        def loss_fn(p):
-            return float(np.mean(pmnn.predict_batch(p, v)))
+        def loss_fn(p):  # one loss per stacked parameter set
+            return np.mean(pmnn.predict_batch(p, v), axis=-1)
 
         analytic = pmnn.grad_wrt_params(params, v)
         assert np.linalg.norm(analytic.flat) > 0

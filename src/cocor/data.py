@@ -191,6 +191,9 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray,
         raise ValueError("labels length must match image count")
     if labels.min() < 0 or labels.max() > 255:
         raise ValueError("IDX labels must fit in a byte")
+    # the u8 cast would wrap an out-of-range pixel modulo 256 (NaN: to 0)
+    if not ((images >= 0.0) & (images <= 1.0)).all():
+        raise ValueError("IDX pixels must be finite values in [0, 1]")
     pixels = np.round(images[:, :, :, 0] * 255.0).astype(np.uint8)
     header = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols)
     atomic_write_bytes(images_path, header + pixels.tobytes())

@@ -62,7 +62,7 @@ def linear_eval(enc_cfg: EncoderConfig, theta_e: ParamSet, dataset: Dataset,
                            "b": np.zeros(dataset.classes)})
     n = train_x.shape[0]
     batch = min(cfg.eval_batch, n)
-    steps_per_epoch = max(1, n // batch)
+    steps_per_epoch = n // batch
     opt = SgdState.init(classifier, cfg.eval_lr, momentum=0.9,
                         total_steps=cfg.eval_epochs * steps_per_epoch)
     for epoch in range(cfg.eval_epochs):

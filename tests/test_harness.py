@@ -128,6 +128,14 @@ class TestIdx:
                       np.zeros((2, 2, 2, 1)), np.array(labels))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pixel", [1.5, -0.2, np.nan], ids=["above-one", "negative", "nan"])
+    def test_export_rejects_pixels_outside_unit_range_before_writing(self, tmp_path, pixel):
+        images = np.full((2, 2, 2, 1), 0.5)
+        images[1, 0, 1, 0] = pixel
+        with pytest.raises(ValueError, match=r"pixels must be finite values in \[0, 1\]"):
+            write_idx(str(tmp_path / "i.idx"), str(tmp_path / "l.idx"), images, np.array([0, 1]))
+        assert list(tmp_path.iterdir()) == []
+
     def test_count_mismatch_between_files(self, tmp_path):
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         write_idx(ip, lp, np.zeros((3, 2, 2, 1)), np.array([0, 1, 0]))

@@ -4,9 +4,9 @@ references, no function parameter that its function never reads, no public
 definition that only tests read, no dataclass field that nothing reads, no
 returned value that every caller drops, no local, in the package, the
 benchmark or the tests, that is assigned and never read, no array
-conversion in the inner layers, no getter, and nothing in the package's
-``__init__.py`` but its docstring. Only the standard library's ``ast`` is
-used."""
+conversion in the inner layers, no type dispatch in the numeric code, no
+getter, and nothing in the package's ``__init__.py`` but its docstring. Only
+the standard library's ``ast`` is used."""
 
 import ast
 from pathlib import Path
@@ -218,26 +218,37 @@ INNER = ("bilevel.py", "encoder.py", "losses.py")
 CONVERTERS = {"asarray", "asanyarray", "atleast_1d", "atleast_2d"}
 
 
-def _converting_scopes(tree: ast.Module, module: str) -> set[str]:
-    """Dotted names of the functions, classes or module whose own code calls
-    one of ``CONVERTERS``."""
-    found, todo = set(), [(tree, module)]
-    while todo:
-        node, scope = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
-        elif isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Attribute) and node.func.attr in CONVERTERS
-                or isinstance(node.func, ast.Name) and node.func.id in CONVERTERS):
-            found.add(scope)
-        todo += [(child, scope) for child in ast.iter_child_nodes(node)]
-    return found
+def _calling_scopes(names: tuple[str, ...], called: set[str]) -> list[str]:
+    """Dotted names of the functions, classes or modules, among the modules
+    ``names``, whose own code calls one of ``called``."""
+    found = set()
+    for name in names:
+        todo = [(_parse(SRC / name), name[:-3])]
+        while todo:
+            node, scope = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            elif isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr in called
+                    or isinstance(node.func, ast.Name) and node.func.id in called):
+                found.add(scope)
+            todo += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
 
 
 def test_inner_layers_do_not_convert():
-    found = sorted(set().union(*(_converting_scopes(_parse(SRC / name), name[:-3])
-                                 for name in INNER)))
+    found = _calling_scopes(INNER, CONVERTERS)
     assert not found, f"inner layers that convert their array inputs: {found}"
+
+
+# numeric code takes one path whatever its argument's type (a float, a 0-d or
+# an n-d array); config.py keeps its formatting dispatch
+NUMERIC = ("numcore.py", "encoder.py", "losses.py", "pmnn.py", "bilevel.py")
+
+
+def test_numeric_code_does_not_dispatch_on_type():
+    found = _calling_scopes(NUMERIC, {"isinstance"})
+    assert not found, f"numeric code that branches on its argument's type: {found}"
 
 
 def _is_getter(func: ast.FunctionDef) -> bool:

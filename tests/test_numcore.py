@@ -110,7 +110,7 @@ class TestLayerStack:
         grads = mlp_backward(stack(params), cache, d_out)
         analytic = ParamSet({f"{k}{i}": arr for i, (d_w, d_b) in enumerate(grads)
                              for k, arr in (("w", d_w), ("b", d_b))})
-        assert grad_check(loss, params, analytic, h=1e-6) < 1e-6
+        assert grad_check(loss, params, analytic) < 1e-6
 
 
 class TestActivations:
@@ -125,16 +125,28 @@ class TestActivations:
         assert abs(softplus(100.0) - 100.0) < 1e-12
         assert np.isfinite(softplus(np.array([800.0, -800.0]))).all()
 
-    def test_scalar_branch_matches_array_branch_bitwise(self):
-        # softplus(k) and sigmoid(k) of the per-length gaps take the scalar
-        # branch; the arrays' masked branch defines their values
+    def test_float_argument_matches_array_bitwise(self):
+        # the consistency loss passes each per-length gap as a float: it takes
+        # the array's one path and gets the array's bits back as a float. At
+        # the extremes each value is its textbook form, and the form a value
+        # does not select must not overflow or divide by zero either
+        extremes = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -1e-310])
         rng = make_rng(11)
         x = np.concatenate([rng.uniform(-40.0, 40.0, 500), rng.standard_normal(500),
-                            [0.0, -0.0, 30.0, 31.0, -30.0, 700.0, -700.0]])
-        for fn in (softplus, sigmoid):
-            scalar = np.array([fn(v) for v in x.tolist()])
-            assert all(type(fn(v)) is float for v in (0.5, np.float64(-2.0), 40.0))
-            np.testing.assert_array_equal(scalar.view(np.uint64), fn(x).view(np.uint64))
+                            [0.0, -0.0, 30.0, 31.0, -30.0, 700.0, -700.0], extremes])
+        textbook = {
+            softplus: lambda v: v + np.log1p(np.exp(-v)) if v > 30.0 else np.log1p(np.exp(v)),
+            sigmoid: lambda v: (1.0 / (1.0 + np.exp(-v)) if v >= 0.0
+                                else np.exp(v) / (1.0 + np.exp(v))),
+        }
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for fn, form in textbook.items():
+                scalar = np.array([fn(v) for v in x.tolist()])
+                assert all(type(fn(v)) is float for v in (0.5, np.float64(-2.0), 40.0))
+                np.testing.assert_array_equal(scalar.view(np.uint64), fn(x).view(np.uint64))
+                expected = np.array([form(v) for v in extremes])
+                np.testing.assert_array_equal(fn(extremes).view(np.uint64),
+                                              expected.view(np.uint64))
 
     def test_softplus_grad_is_sigmoid(self):
         # the softplus consistency loss differentiates softplus as sigmoid
